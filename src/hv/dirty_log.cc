@@ -1,7 +1,5 @@
 #include "src/hv/dirty_log.h"
 
-#include <algorithm>
-
 #include "src/hv/kernel.h"
 
 namespace nova::hv {
@@ -107,16 +105,13 @@ void DirtyLog::CollectAndReset(std::vector<std::uint64_t>* out) {
     dirty_frames_.clear();
     return;
   }
-  // nova-lint: allow(determinism) -- drained into a vector and sorted
-  std::vector<std::uint64_t> pages(dirty_pages_.begin(), dirty_pages_.end());
-  std::sort(pages.begin(), pages.end());
-  for (const std::uint64_t page : pages) {
+  for (const std::uint64_t page : dirty_pages_) {
     out->push_back(page);
     if (armed_) {
       Protect(page);  // Next round starts tracking immediately.
     }
   }
-  if (armed_ && !pages.empty()) {
+  if (armed_ && !dirty_pages_.empty()) {
     FlushVmTlbs();
   }
   dirty_pages_.clear();

@@ -27,6 +27,7 @@
 #define SRC_HV_DIRTY_LOG_H_
 
 #include <cstdint>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -98,7 +99,7 @@ class DirtyLog {
   bool armed_ = false;
   std::uint64_t faults_ = 0;
   std::unordered_set<std::uint64_t> dirty_frames_;  // kAssist: host frames.
-  std::unordered_set<std::uint64_t> dirty_pages_;   // kWriteProtect: guest pages.
+  std::set<std::uint64_t> dirty_pages_;             // kWriteProtect: guest pages.
 };
 
 }  // namespace nova::hv

@@ -18,9 +18,7 @@
 // own hardware tag, so the switch leaves the hardware TLB intact too.
 #include "src/hv/vtlb.h"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace nova::hv {
 
@@ -86,10 +84,7 @@ hw::PhysAddr Vtlb::AllocWithPressure(Context& ctx) {
 }
 
 bool Vtlb::EvictOneForPressure(const Context* keep) {
-  // last_use stamps come from ++use_clock_ and are unique, so the
-  // strict-min victim is walk-order independent.
   auto victim = contexts_.end();
-  // nova-lint: allow(determinism) -- strict min over unique last_use stamps
   for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
     if (&it->second == keep || it->second.root == 0) {
       continue;
@@ -371,9 +366,7 @@ void Vtlb::HandleInvlpg(std::uint64_t gva) {
   }
   // Invalidation invariant: the translation dies in *every* cached
   // context and under every context tag, so it cannot resurface when a
-  // dormant address space is switched back in. Each context's shadow tree
-  // is disjoint, Unmap frees nothing, and Charge sums — order cannot show.
-  // nova-lint: allow(determinism) -- independent per-context ops, no frees
+  // dormant address space is switched back in.
   for (auto& [key, ctx] : contexts_) {
     if (ctx.root == 0) {
       continue;
@@ -403,21 +396,12 @@ void Vtlb::Flush() {
     (void)env_.mem->Zero(env_.ctl->nested_root, hw::kPageSize);
   } else {
     // Drop every dormant context outright; the active tree survives with
-    // a zeroed root because the VMCS still points at it. Walk in sorted
-    // key order: tags and frames are released into LIFO free lists, so a
-    // hash-order walk would tie recycling order to the hash seed.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(contexts_.size());
-    // nova-lint: allow(determinism) -- key collection, sorted before use
-    for (const auto& [key, ctx] : contexts_) {
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t key : keys) {
-      const auto it = contexts_.find(key);
+    // a zeroed root because the VMCS still points at it.
+    for (auto it = contexts_.begin(); it != contexts_.end();) {
       Context& ctx = it->second;
-      if (has_active_ && key == active_key_) {
+      if (has_active_ && it->first == active_key_) {
         FreeBelowRoot(ctx);
+        ++it;
         continue;
       }
       if (ctx.tag != env_.ctl->base_tag) {
@@ -425,7 +409,7 @@ void Vtlb::Flush() {
         env_.tags->Release(ctx.tag);
       }
       FreeTree(ctx);
-      contexts_.erase(it);
+      it = contexts_.erase(it);
     }
   }
   env_.cpu->tlb().FlushTag(env_.ctl->tag);
@@ -435,17 +419,7 @@ void Vtlb::Flush() {
 }
 
 void Vtlb::DropAllContexts() {
-  // Sorted key order: tag and frame recycling below feeds LIFO free
-  // lists, so the walk order decides what later allocations hand out.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(contexts_.size());
-  // nova-lint: allow(determinism) -- key collection, sorted before use
-  for (const auto& [key, ctx] : contexts_) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    Context& ctx = contexts_.at(key);
+  for (auto& [key, ctx] : contexts_) {
     if (ctx.tag != env_.ctl->base_tag) {
       // Released tags are recycled, so their hardware-TLB entries must not
       // outlive the context. The VM's identity tag is the revoke path's
@@ -467,10 +441,8 @@ void Vtlb::EnforceFrameBudget() {
   }
   while (frames_held_ > policy_.max_cached_frames) {
     // Evict the least recently used *dormant* context; the active tree is
-    // pinned (the hardware is walking it). last_use stamps are unique
-    // (++use_clock_), so the strict-min victim is walk-order independent.
+    // pinned (the hardware is walking it).
     auto victim = contexts_.end();
-    // nova-lint: allow(determinism) -- strict min over unique last_use stamps
     for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
       if (has_active_ && it->first == active_key_) {
         continue;
@@ -496,16 +468,8 @@ void Vtlb::EnforceFrameBudget() {
 }
 
 Status Vtlb::SaveState(sim::SnapWriter& w) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(contexts_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
+  w.U64(contexts_.size());
   for (const auto& [key, ctx] : contexts_) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const std::uint64_t key : keys) {
-    const Context& ctx = contexts_.at(key);
     w.U64(key);
     w.U64(ctx.root);
     w.U16(ctx.tag);

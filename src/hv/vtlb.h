@@ -26,7 +26,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 
 #include "src/hv/types.h"
 #include "src/hw/cpu.h"
@@ -166,7 +166,9 @@ class Vtlb {
   //   the trace ids are interned at construction)
   Env env_;
   VtlbPolicy policy_;
-  std::unordered_map<std::uint64_t, Context> contexts_;
+  // Ordered by key: walks release tags and frames into LIFO free lists, so
+  // the walk order decides what later allocations hand out.
+  std::map<std::uint64_t, Context> contexts_;
   std::uint64_t active_key_ = 0;
   bool has_active_ = false;
   std::uint64_t use_clock_ = 0;

@@ -154,16 +154,10 @@ Status DiskModel::SaveState(sim::SnapWriter& w) const {
   if (!Ok(st)) {
     return st;
   }
-  // Written sectors, sorted for a deterministic encoding.
-  std::map<std::uint64_t, const std::vector<std::uint8_t>*> sorted;
-  // nova-lint: allow(determinism) -- accumulates into a sorted std::map
+  w.U64(sectors_.size());
   for (const auto& [sector, bytes] : sectors_) {
-    sorted.emplace(sector, &bytes);
-  }
-  w.U64(sorted.size());
-  for (const auto& [sector, bytes] : sorted) {
     w.U64(sector);
-    w.Bytes(bytes->data(), bytes->size());
+    w.Bytes(bytes.data(), bytes.size());
   }
   w.U32(static_cast<std::uint32_t>(pending_.size()));
   for (const auto& [id, p] : pending_) {

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -111,7 +110,7 @@ class DiskModel {
   DiskGeometry geometry_;
   std::string name_;
   sim::PicoSeconds busy_until_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> sectors_;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> sectors_;
   sim::Counter completed_;
   sim::Counter media_errors_;
   sim::FaultPlan* fault_plan_ = nullptr;

@@ -154,31 +154,17 @@ Status Iommu::DmaWrite(DeviceId dev, std::uint64_t iova, const void* data,
 }
 
 Status Iommu::SaveState(sim::SnapWriter& w) const {
-  std::vector<DeviceId> devs;
-  devs.reserve(contexts_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
+  w.U32(static_cast<std::uint32_t>(contexts_.size()));
   for (const auto& [dev, ctx] : contexts_) {
-    devs.push_back(dev);
-  }
-  std::sort(devs.begin(), devs.end());
-  w.U32(static_cast<std::uint32_t>(devs.size()));
-  for (const DeviceId dev : devs) {
-    const PageTable& table = *contexts_.at(dev).table;
+    const PageTable& table = *ctx.table;
     w.U16(dev);
     w.U64(table.root());
     w.U8(static_cast<std::uint8_t>(table.mode()));
   }
-  std::vector<DeviceId> gsi_devs;
-  gsi_devs.reserve(allowed_gsis_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
+  w.U32(static_cast<std::uint32_t>(allowed_gsis_.size()));
   for (const auto& [dev, mask] : allowed_gsis_) {
-    gsi_devs.push_back(dev);
-  }
-  std::sort(gsi_devs.begin(), gsi_devs.end());
-  w.U32(static_cast<std::uint32_t>(gsi_devs.size()));
-  for (const DeviceId dev : gsi_devs) {
     w.U16(dev);
-    w.U64(allowed_gsis_.at(dev));
+    w.U64(mask);
   }
   w.U32(static_cast<std::uint32_t>(protected_.size()));
   for (const auto& [base, size] : protected_) {

@@ -10,8 +10,8 @@
 #define SRC_HW_IOMMU_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/paging.h"
@@ -90,8 +90,8 @@ class Iommu {
   // protected_, faults_, fault_log_
   PhysMem* mem_;
   bool present_;
-  std::unordered_map<DeviceId, Context> contexts_;
-  std::unordered_map<DeviceId, std::uint64_t> allowed_gsis_;  // Bitmask.
+  std::map<DeviceId, Context> contexts_;
+  std::map<DeviceId, std::uint64_t> allowed_gsis_;  // Bitmask.
   std::vector<std::pair<PhysAddr, std::uint64_t>> protected_;
   sim::Counter faults_;
   std::vector<FaultRecord> fault_log_;

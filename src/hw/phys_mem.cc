@@ -4,16 +4,12 @@
 
 namespace nova::hw {
 
-PhysMem::Frame* PhysMem::FrameFor(std::uint64_t frame_no) const {
-  auto it = frames_.find(frame_no);
-  return it == frames_.end() ? nullptr : it->second.get();
-}
-
 PhysMem::Frame& PhysMem::FrameForAlloc(std::uint64_t frame_no) {
   auto& slot = frames_[frame_no];
   if (!slot) {
     slot = std::make_unique<Frame>();
     slot->fill(0);
+    ++resident_;
   }
   return *slot;
 }
@@ -82,17 +78,12 @@ Status PhysMem::Zero(PhysAddr addr, std::uint64_t len) {
 
 Status PhysMem::SaveState(sim::SnapWriter& w) const {
   w.U64(size_);
-  std::vector<std::uint64_t> order;
-  order.reserve(frames_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
-  for (const auto& [frame_no, frame] : frames_) {
-    order.push_back(frame_no);
-  }
-  std::sort(order.begin(), order.end());
-  w.U64(order.size());
-  for (const std::uint64_t frame_no : order) {
-    w.U64(frame_no);
-    w.Bytes(frames_.at(frame_no)->data(), kPageSize);
+  w.U64(resident_);
+  for (std::uint64_t frame_no = 0; frame_no < frames_.size(); ++frame_no) {
+    if (const Frame* f = FrameFor(frame_no)) {
+      w.U64(frame_no);
+      w.Bytes(f->data(), kPageSize);
+    }
   }
   return Status::kSuccess;
 }
@@ -102,13 +93,23 @@ Status PhysMem::LoadState(sim::SnapReader& r) {
     r.Fail();  // The twin must be constructed with identical RAM.
     return Status::kBadParameter;
   }
-  frames_.clear();
+  for (auto& slot : frames_) {
+    slot.reset();
+  }
+  resident_ = 0;
   const std::uint64_t count = r.U64();
-  for (std::uint64_t i = 0; i < count; ++i) {
+  std::uint64_t next = 0;  // Lowest frame number the next record may carry.
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     const std::uint64_t frame_no = r.U64();
+    if (frame_no < next || frame_no >= frames_.size()) {
+      r.Fail();  // Beyond installed RAM, a duplicate, or out of order.
+      return Status::kBadParameter;
+    }
+    next = frame_no + 1;
     auto frame = std::make_unique<Frame>();
     r.Bytes(frame->data(), kPageSize);
     frames_[frame_no] = std::move(frame);
+    ++resident_;
   }
   return r.status();
 }

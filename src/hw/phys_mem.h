@@ -1,8 +1,10 @@
 // Simulated physical memory.
 //
-// A sparse store of 4 KiB frames. Page tables, DMA buffers, guest images
-// and the UTCBs all live in here as real bytes — page-table walkers
-// dereference real entries, and the vTLB algorithm parses real guest PTEs.
+// A sparse store of 4 KiB frames behind a flat directory indexed by frame
+// number (installed RAM is fixed at construction). Page tables, DMA
+// buffers, guest images and the UTCBs all live in here as real bytes —
+// page-table walkers dereference real entries, and the vTLB algorithm
+// parses real guest PTEs.
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
@@ -11,7 +13,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
@@ -31,7 +33,8 @@ constexpr std::uint64_t FrameOf(PhysAddr a) { return a >> kPageShift; }
 class PhysMem {
  public:
   // `size` is the amount of installed RAM; accesses beyond it fault.
-  explicit PhysMem(std::uint64_t size) : size_(size) {}
+  explicit PhysMem(std::uint64_t size)
+      : size_(size), frames_((size + kPageMask) >> kPageShift) {}
 
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
@@ -69,7 +72,7 @@ class PhysMem {
   Status Zero(PhysAddr addr, std::uint64_t len);
 
   // Number of frames that have actually been materialized.
-  std::size_t resident_frames() const { return frames_.size(); }
+  std::size_t resident_frames() const { return resident_; }
 
   // Write observer: called with (addr, len) on every successful Write/Zero.
   // This is the dirty-log "hardware assist" hook (PML-style): all mutation
@@ -79,21 +82,24 @@ class PhysMem {
   using WriteObserver = std::function<void(PhysAddr addr, std::uint64_t len)>;
   void set_write_observer(WriteObserver obs) { observer_ = std::move(obs); }
 
-  // Serialize installed-RAM size and every resident frame (sorted by frame
-  // number for a deterministic encoding). Load fails if the twin's size
-  // differs.
+  // Serialize installed-RAM size and every resident frame in ascending
+  // frame order. Load fails with kBadParameter if the twin's size differs
+  // or a frame number is beyond installed RAM or not strictly ascending.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
 
  private:
   using Frame = std::array<std::uint8_t, kPageSize>;
 
-  Frame* FrameFor(std::uint64_t frame_no) const;       // nullptr if absent.
-  Frame& FrameForAlloc(std::uint64_t frame_no);        // Allocates.
+  Frame* FrameFor(std::uint64_t frame_no) const {  // nullptr if absent.
+    return frames_[frame_no].get();
+  }
+  Frame& FrameForAlloc(std::uint64_t frame_no);  // Allocates.
 
-  // snapshot-x-list(PhysMem): size_, frames_, observer_
+  // snapshot-x-list(PhysMem): size_, frames_, resident_, observer_
   std::uint64_t size_;
-  mutable std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames_;
+  std::vector<std::unique_ptr<Frame>> frames_;  // One slot per frame of RAM.
+  std::size_t resident_ = 0;                    // Non-null slots.
   WriteObserver observer_;
 };
 

@@ -310,7 +310,6 @@ PicoSeconds TraceReport::TotalPs(std::uint16_t name) const {
 std::map<std::string, TraceReport::Entry> TraceReport::Rows(
     const Tracer& t) const {
   std::map<std::string, Entry> rows;
-  // nova-lint: allow(determinism) -- accumulates into a sorted std::map
   for (const auto& [id, e] : entries_) {
     Entry& row = rows[t.Name(id)];
     row.count += e.count;
@@ -325,20 +324,14 @@ void TraceReport::Reset() {
 }
 
 Status TraceReport::SaveState(SnapWriter& w) const {
-  // nova-lint: allow(determinism) -- copied into a sorted map for encoding
-  std::map<std::uint16_t, Entry> sorted_entries(entries_.begin(),
-                                                entries_.end());
-  w.U32(static_cast<std::uint32_t>(sorted_entries.size()));
-  for (const auto& [name, e] : sorted_entries) {
+  w.U32(static_cast<std::uint32_t>(entries_.size()));
+  for (const auto& [name, e] : entries_) {
     w.U16(name);
     w.U64(e.count);
     w.U64(static_cast<std::uint64_t>(e.total_ps));
   }
-  // nova-lint: allow(determinism) -- copied into a sorted map for encoding
-  std::map<std::uint8_t, std::vector<OpenSpan>> sorted_open(open_.begin(),
-                                                            open_.end());
-  w.U32(static_cast<std::uint32_t>(sorted_open.size()));
-  for (const auto& [tid, stack] : sorted_open) {
+  w.U32(static_cast<std::uint32_t>(open_.size()));
+  for (const auto& [tid, stack] : open_) {
     w.U8(tid);
     w.U32(static_cast<std::uint32_t>(stack.size()));
     for (const OpenSpan& s : stack) {

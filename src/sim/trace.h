@@ -211,8 +211,8 @@ class TraceReport {
     PicoSeconds begin_ts;
   };
   // snapshot-x-list(TraceReport): entries_, open_
-  std::unordered_map<std::uint16_t, Entry> entries_;
-  std::unordered_map<std::uint8_t, std::vector<OpenSpan>> open_;
+  std::map<std::uint16_t, Entry> entries_;
+  std::map<std::uint8_t, std::vector<OpenSpan>> open_;
 };
 
 // RAII span: emits Begin on construction and End on destruction, stamping

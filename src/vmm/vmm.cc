@@ -659,12 +659,8 @@ Status Vmm::SaveState(sim::SnapWriter& w) const {
     w.Bool(b);
   }
   w.U32(disk_ring_tail_);
-  // nova-lint: allow(determinism) -- drained into a vector and sorted
-  std::vector<std::uint64_t> delegated(delegated_buffer_pages_.begin(),
-                                       delegated_buffer_pages_.end());
-  std::sort(delegated.begin(), delegated.end());
-  w.U32(static_cast<std::uint32_t>(delegated.size()));
-  for (const std::uint64_t p : delegated) {
+  w.U32(static_cast<std::uint32_t>(delegated_buffer_pages_.size()));
+  for (const std::uint64_t p : delegated_buffer_pages_) {
     w.U64(p);
   }
   w.Bool(crashed_);

@@ -12,8 +12,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/hv/kernel.h"
@@ -231,7 +231,7 @@ class Vmm {
   std::uint64_t disk_shared_page_ = 0;
   std::uint32_t disk_channel_id_ = 0;
   std::uint32_t disk_ring_tail_ = 0;
-  std::unordered_set<std::uint64_t> delegated_buffer_pages_;
+  std::set<std::uint64_t> delegated_buffer_pages_;
 
   hv::Ec* comp_ec_ = nullptr;       // Disk-completion handler EC.
   std::vector<hv::Ec*> irq_ecs_storage_;  // Interrupt threads (direct devices).

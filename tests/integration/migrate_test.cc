@@ -61,12 +61,18 @@ std::uint64_t FinishDigest(CompileScenario& scn) {
   return tracer.digest();
 }
 
-TEST(Migration, PrecopyConvergesAndTargetResumesExactly) {
+// Both dirty-tracking modes: the hardware-assist write observer and
+// write-protect faults on the VM's host page table.
+class Migration : public ::testing::TestWithParam<hv::DirtyTrackMode> {};
+
+TEST_P(Migration, PrecopyConvergesAndTargetResumesExactly) {
   Nodes nodes(MigrateConfig());
   nodes.src.RunFor(sim::Milliseconds(2));  // Warm the working set.
   ASSERT_FALSE(nodes.src.done());
 
-  services::MigrationDriver driver(nodes.Endpoints(), FastLink());
+  services::MigrationConfig mc = FastLink();
+  mc.track_mode = GetParam();
+  services::MigrationDriver driver(nodes.Endpoints(), mc);
   const services::MigrationResult r = driver.Run();
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.rounds, 1u);
@@ -81,6 +87,14 @@ TEST(Migration, PrecopyConvergesAndTargetResumesExactly) {
   ASSERT_GE(r.round_pages.size(), 1u);
   if (r.round_pages.size() > 1) {
     EXPECT_LT(r.round_pages.back(), r.round_pages.front() / 4);
+  }
+  // Only write-protect tracking takes dirty-log faults.
+  const std::uint64_t faults =
+      nodes.src.system().hv.stats().counter("dirty-log-faults").value();
+  if (GetParam() == hv::DirtyTrackMode::kWriteProtect) {
+    EXPECT_GT(faults, 0u);
+  } else {
+    EXPECT_EQ(faults, 0u);
   }
 
   // The paused source is the oracle: it holds exactly the state the
@@ -100,6 +114,15 @@ TEST(Migration, PrecopyConvergesAndTargetResumesExactly) {
   EXPECT_EQ(nodes.src.vm().vm_pd()->kmem().limit(),
             nodes.dst.vm().vm_pd()->kmem().limit());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    DirtyTrackModes, Migration,
+    ::testing::Values(hv::DirtyTrackMode::kAssist,
+                      hv::DirtyTrackMode::kWriteProtect),
+    [](const ::testing::TestParamInfo<hv::DirtyTrackMode>& mode) {
+      return mode.param == hv::DirtyTrackMode::kAssist ? "Assist"
+                                                       : "WriteProtect";
+    });
 
 TEST(Migration, PartitionRetriesThenSucceeds) {
   Nodes nodes(MigrateConfig());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/scenario.h"
+#include "src/hv/vtlb.h"
 
 namespace nova::bench {
 namespace {
@@ -107,6 +108,30 @@ TEST_P(SnapshotRoundTrip, SaveLoadSaveIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(MultiSeed, SnapshotRoundTrip,
                          ::testing::Values(42u, 7u, 1234u));
+
+// The encoded bytes of one fixed checkpoint are pinned across commits,
+// not just within one build. Shadow paging with the context cache and
+// VPID fills the vTLB context table; the midpoint also holds resident RAM
+// frames and the VMM's delegated DMA buffer pages. A container change
+// that moved the walk order of any of them would move this digest.
+TEST(SnapshotRoundTrip, FixedCheckpointEncodingIsPinned) {
+  RunConfig config = ShortConfig(42);
+  config.mode = hw::TranslationMode::kShadow;
+  config.vtlb.cache_contexts = true;
+  config.vtlb.use_vpid = true;
+  CompileScenario scn(config);
+  RunToMidpoint(scn);
+  ASSERT_GE(scn.vm().vcpu_ec()->vtlb()->cached_contexts(), 2u);
+  ASSERT_GT(scn.system().machine.mem().resident_frames(), 0u);
+  ASSERT_GT(scn.workload().disk_reads(), 0u);
+
+  sim::Snapshot snap;
+  ASSERT_EQ(scn.SaveState(snap), Status::kSuccess);
+  const std::vector<std::uint8_t> bytes = snap.Encode();
+  EXPECT_EQ(bytes.size(), 1986627u);
+  EXPECT_EQ(sim::SnapFnv1a(bytes.data(), bytes.size()),
+            0x5f8936179b18c196ull);
+}
 
 TEST(SnapshotRoundTrip, StructurallyMismatchedTwinFailsLoudly) {
   CompileScenario original(ShortConfig(42));
