@@ -110,7 +110,7 @@ hw::PhysAddr Hypervisor::PoolAlloc() {
 
 void Hypervisor::PoolFree(hw::PhysAddr frame) { pool_free_.push_back(frame); }
 
-hw::PhysAddr Hypervisor::AllocFrameFor(Pd* pd) {
+hw::PhysAddr Hypervisor::DoAllocFrameFor(Pd* pd) {
   if (fault_plan_ != nullptr &&
       fault_plan_->ShouldFault(sim::FaultKind::kAllocFail, pd->name())) {
     return 0;

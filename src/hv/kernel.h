@@ -163,9 +163,9 @@ class Hypervisor : public KmemPool {
   // guests during image installation). Charged to the root PD's account.
   [[nodiscard]] hw::PhysAddr AllocFrame();
   void FreeFrame(hw::PhysAddr frame);
-  // KmemPool: allocate/free one kernel frame charged to `pd`'s quota
-  // chain. Returns 0 on quota or pool exhaustion — never a fake frame.
-  [[nodiscard]] hw::PhysAddr AllocFrameFor(Pd* pd) override;
+  // KmemPool: allocate (AllocFrameFor) or free one kernel frame charged
+  // to `pd`'s quota chain. Allocation returns 0 on quota or pool
+  // exhaustion — never a fake frame.
   void FreeFrameFor(Pd* pd, hw::PhysAddr frame) override;
 
   // Deterministic fault injection: when set, every charged allocation
@@ -263,6 +263,8 @@ class Hypervisor : public KmemPool {
   std::shared_ptr<Pd> MakePd(const std::string& name, bool is_vm,
                              std::shared_ptr<Pd> donor,
                              std::uint64_t quota_frames);
+
+  hw::PhysAddr DoAllocFrameFor(Pd* pd) override;
 
   // Raw pool operations (no accounting); everything outside Boot goes
   // through the charged AllocFrameFor/FreeFrameFor pair.

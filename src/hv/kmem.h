@@ -94,11 +94,17 @@ class KmemPool {
   // Allocate one zeroed kernel frame charged to `pd`'s account chain.
   // Returns 0 when the quota or the pool is exhausted.
   // [[nodiscard]]: kNullPhys on quota exhaustion must be observed, or
-  // the caller writes page-table entries into frame 0.
-  [[nodiscard]] virtual hw::PhysAddr AllocFrameFor(Pd* pd) = 0;
+  // the caller writes page-table entries into frame 0. Non-virtual
+  // because GCC does not diagnose a discarded result of a virtual call.
+  [[nodiscard]] hw::PhysAddr AllocFrameFor(Pd* pd) {
+    return DoAllocFrameFor(pd);
+  }
 
   // Return a frame to the pool and credit `pd`'s account chain.
   virtual void FreeFrameFor(Pd* pd, hw::PhysAddr frame) = 0;
+
+ private:
+  virtual hw::PhysAddr DoAllocFrameFor(Pd* pd) = 0;
 };
 
 }  // namespace nova::hv

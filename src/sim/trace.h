@@ -98,17 +98,8 @@ class Tracer {
 
   // --- emission -------------------------------------------------------
   // All emitters are no-ops when disabled; the check is inlined so the
-  // disabled cost is a single predicted branch.
-  void BeginAt(PicoSeconds ts, TraceCat cat, std::uint16_t name,
-               std::uint8_t tid, std::uint64_t a0 = 0, std::uint64_t a1 = 0) {
-    if (!enabled_) return;
-    Emit(ts, TraceType::kBegin, cat, name, tid, a0, a1);
-  }
-  void EndAt(PicoSeconds ts, TraceCat cat, std::uint16_t name,
-             std::uint8_t tid, std::uint64_t a0 = 0, std::uint64_t a1 = 0) {
-    if (!enabled_) return;
-    Emit(ts, TraceType::kEnd, cat, name, tid, a0, a1);
-  }
+  // disabled cost is a single predicted branch. Spans are emitted only
+  // through ScopedSpan.
   void InstantAt(PicoSeconds ts, TraceCat cat, std::uint16_t name,
                  std::uint8_t tid, std::uint64_t a0 = 0,
                  std::uint64_t a1 = 0) {
@@ -158,6 +149,22 @@ class Tracer {
   bool WriteChromeJsonFile(const std::string& path) const;
 
  private:
+  // Span primitives. Private so that a hand-paired Begin/End, which an
+  // early return would leave open, does not compile: ScopedSpan's
+  // destructor ends the span on every exit path.
+  template <typename>
+  friend class ScopedSpan;
+  void BeginAt(PicoSeconds ts, TraceCat cat, std::uint16_t name,
+               std::uint8_t tid, std::uint64_t a0, std::uint64_t a1) {
+    if (!enabled_) return;
+    Emit(ts, TraceType::kBegin, cat, name, tid, a0, a1);
+  }
+  void EndAt(PicoSeconds ts, TraceCat cat, std::uint16_t name,
+             std::uint8_t tid) {
+    if (!enabled_) return;
+    Emit(ts, TraceType::kEnd, cat, name, tid, 0, 0);
+  }
+
   void Emit(PicoSeconds ts, TraceType type, TraceCat cat, std::uint16_t name,
             std::uint8_t tid, std::uint64_t a0, std::uint64_t a1);
   void Fold(const TraceRecord& r);
@@ -225,13 +232,10 @@ class ScopedSpan {
   ScopedSpan(Tracer* t, TraceCat cat, std::uint16_t name, std::uint8_t tid,
              ClockFn clock, std::uint64_t a0 = 0, std::uint64_t a1 = 0)
       : t_(t), clock_(std::move(clock)), cat_(cat), name_(name), tid_(tid) {
-    // This class IS the sanctioned wrapper the raw-span rule points to.
-    if (t_->enabled())
-      t_->BeginAt(clock_(), cat_, name_, tid_, a0, a1);  // nova-lint: allow(raw-span)
+    if (t_->enabled()) t_->BeginAt(clock_(), cat_, name_, tid_, a0, a1);
   }
   ~ScopedSpan() {
-    if (t_->enabled())
-      t_->EndAt(clock_(), cat_, name_, tid_);  // nova-lint: allow(raw-span)
+    if (t_->enabled()) t_->EndAt(clock_(), cat_, name_, tid_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

@@ -1,15 +1,14 @@
 // Tracer unit tests: interning, digest determinism, ring wraparound with
 // digest coverage of evicted records, nested-span attribution through the
 // TraceReport sink, disabled-mode no-ops and the Chrome JSON exporter.
-//
-// These tests exercise the raw Begin/End API that ScopedSpan wraps, so
-// the raw-span rule does not apply in this file.
-// nova-lint: allow-file(raw-span)
+// Spans are emitted through ScopedSpan (the only way to emit them),
+// stamped by a hand-set clock.
 #include "src/sim/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 namespace nova::sim {
@@ -36,8 +35,11 @@ TEST(TracerTest, DisabledEmitsNothingAndKeepsDigestEmpty) {
   const std::uint16_t n = t.Intern("ev");
   ASSERT_FALSE(t.enabled());
   t.InstantAt(100, TraceCat::kVmExit, n, 0, 1, 2);
-  t.BeginAt(200, TraceCat::kIpc, n, 0);
-  t.EndAt(300, TraceCat::kIpc, n, 0);
+  PicoSeconds now = 200;
+  {
+    ScopedSpan span(&t, TraceCat::kIpc, n, 0, [&now] { return now; });
+    now = 300;
+  }
   EXPECT_EQ(t.total_records(), 0u);
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.digest(), kEmptyDigest);
@@ -130,10 +132,17 @@ TEST(TraceReportTest, NestedSpansChargeInclusiveTimePerName) {
   const std::uint16_t outer = t.Intern("outer");
   const std::uint16_t inner = t.Intern("inner");
   t.set_enabled(true);
-  t.BeginAt(0, TraceCat::kVmExit, outer, 0);
-  t.BeginAt(10, TraceCat::kIpc, inner, 0);
-  t.EndAt(20, TraceCat::kIpc, inner, 0);
-  t.EndAt(30, TraceCat::kVmExit, outer, 0);
+  PicoSeconds now = 0;
+  auto clock = [&now] { return now; };
+  {
+    ScopedSpan outer_span(&t, TraceCat::kVmExit, outer, 0, clock);
+    now = 10;
+    {
+      ScopedSpan inner_span(&t, TraceCat::kIpc, inner, 0, clock);
+      now = 20;
+    }
+    now = 30;
+  }
   report.FoldRemaining(t);
   EXPECT_EQ(report.Count(outer), 1u);
   EXPECT_EQ(report.Count(inner), 1u);
@@ -148,10 +157,18 @@ TEST(TraceReportTest, SpansPairPerTid) {
   const std::uint16_t a = t.Intern("cpu0-span");
   const std::uint16_t b = t.Intern("cpu1-span");
   t.set_enabled(true);
-  t.BeginAt(0, TraceCat::kVmExit, a, 0);
-  t.BeginAt(5, TraceCat::kVmExit, b, 1);
-  t.EndAt(50, TraceCat::kVmExit, a, 0);
-  t.EndAt(6, TraceCat::kVmExit, b, 1);
+  PicoSeconds now = 0;
+  auto clock = [&now] { return now; };
+  // Interleaved across tids: `a` ends after `b` began, but records are
+  // stamped with per-CPU time, so b's End carries the earlier timestamp.
+  std::optional<ScopedSpan<decltype(clock)>> span_a, span_b;
+  span_a.emplace(&t, TraceCat::kVmExit, a, 0, clock);
+  now = 5;
+  span_b.emplace(&t, TraceCat::kVmExit, b, 1, clock);
+  now = 50;
+  span_a.reset();
+  now = 6;
+  span_b.reset();
   report.FoldRemaining(t);
   EXPECT_EQ(report.TotalPs(a), 50);
   EXPECT_EQ(report.TotalPs(b), 1);
@@ -207,9 +224,13 @@ TEST(TracerTest, ChromeJsonExportsRetainedWindow) {
   const std::uint16_t span = t.Intern("vmexit \"quoted\"");
   const std::uint16_t inst = t.Intern("irq");
   t.set_enabled(true);
-  t.BeginAt(1'000'000, TraceCat::kVmExit, span, 0, 0xdead);
-  t.InstantAt(1'500'000, TraceCat::kIrq, inst, kDeviceTid, 9);
-  t.EndAt(2'000'000, TraceCat::kVmExit, span, 0);
+  PicoSeconds now = 1'000'000;
+  {
+    ScopedSpan vmexit(&t, TraceCat::kVmExit, span, 0,
+                      [&now] { return now; }, 0xdead);
+    t.InstantAt(1'500'000, TraceCat::kIrq, inst, kDeviceTid, 9);
+    now = 2'000'000;
+  }
 
   const std::string path = ::testing::TempDir() + "/trace_test.json";
   ASSERT_TRUE(t.WriteChromeJsonFile(path));

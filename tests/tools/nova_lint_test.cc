@@ -18,17 +18,10 @@
 namespace nova::lint {
 namespace {
 
-// Declarations every fixture set shares: makes Status/Outcome APIs
-// must-check and defines the enums the switch rule needs to know.
+// Every fixture set also scans this declaration-free header, so each run
+// counts one file more than the snippets it names.
 constexpr const char* kHeaderPath = "src/sim/fixture.h";
-constexpr const char* kHeader = R"cc(
-enum class Status : int { kSuccess, kNoMem, kDenied };
-enum class Outcome : int { kFilled, kGuestFault };
-enum class Kind : int { kA, kB };
-Status Write(int x);
-Outcome Resolve(int x);
-[[nodiscard]] bool TryCharge(int frames);
-)cc";
+constexpr const char* kHeader = "#pragma once\n";
 
 // Runs all rules over the header plus `files`, returning the result.
 LintResult RunOn(const std::vector<std::pair<std::string, std::string>>& files) {
@@ -44,70 +37,6 @@ int CountRule(const LintResult& r, const std::string& rule) {
   int n = 0;
   for (const Finding& f : r.findings) n += (f.rule == rule) ? 1 : 0;
   return n;
-}
-
-// --- unchecked-status ----------------------------------------------------
-
-TEST(UncheckedStatusRule, FlagsDiscardedStatusCall) {
-  const auto r = RunOn({{"src/hv/a.cc", R"cc(
-void F() {
-  Write(1);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 1);
-}
-
-TEST(UncheckedStatusRule, FlagsDiscardedMemberChainCall) {
-  const auto r = RunOn({{"src/hv/a.cc", R"cc(
-void F(M& m) {
-  m.mem().Write(1);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 1);
-}
-
-TEST(UncheckedStatusRule, SilentWhenConsumedOrVoided) {
-  const auto r = RunOn({{"src/hv/a.cc", R"cc(
-Status G();
-Status F(M& m) {
-  Status s = Write(1);
-  if (Write(2) == Status::kSuccess) { }
-  (void)m.mem().Write(3);
-  (void)Write(4);
-  return x ? Write(5) : G();
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 0);
-}
-
-TEST(UncheckedStatusRule, FlagsUnbracedControlledStatement) {
-  const auto r = RunOn({{"src/hv/a.cc", R"cc(
-void F(bool c) {
-  if (c) Write(1);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 1);
-}
-
-TEST(UncheckedStatusRule, HonorsNodiscardDeclarations) {
-  const auto r = RunOn({{"src/hv/a.cc", R"cc(
-void F() {
-  TryCharge(4);
-}
-)cc"}});
-  // One unchecked-status finding; TryCharge alone must not trip the
-  // quota-symmetry pair check (that needs a charge/credit API pair).
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 1);
-}
-
-TEST(UncheckedStatusRule, LineSuppressionCounts) {
-  const auto r = RunOn({{"src/hv/a.cc", R"cc(
-void F() {
-  Write(1);  // nova-lint: allow(unchecked-status)
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 0);
-  EXPECT_EQ(r.suppressed, 1);
 }
 
 // --- quota-symmetry ------------------------------------------------------
@@ -192,42 +121,6 @@ void F() {
   EXPECT_EQ(CountRule(r, "raw-counter"), 0);
 }
 
-// --- raw-span ------------------------------------------------------------
-
-TEST(RawSpanRule, FlagsManualBeginAndEnd) {
-  const auto r = RunOn({{"src/hv/s.cc", R"cc(
-void F() {
-  tracer_->BeginAt(now, cat, name, tid);
-  Work();
-  tracer_->EndAt(now, cat, name, tid);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-span"), 2);
-}
-
-TEST(RawSpanRule, SilentOnScopedSpanAndDeclarations) {
-  const auto r = RunOn({{"src/hv/s.cc", R"cc(
-void BeginAt(int a, int b);
-void F() {
-  sim::ScopedSpan span(tracer_, cat, name, tid, clock);
-  Work();
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-span"), 0);
-}
-
-TEST(RawSpanRule, FileSuppressionCounts) {
-  const auto r = RunOn({{"src/hv/s.cc", R"cc(
-// nova-lint: allow-file(raw-span)
-void F() {
-  tracer_->BeginAt(now, cat, name, tid);
-  tracer_->EndAt(now, cat, name, tid);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-span"), 0);
-  EXPECT_EQ(r.suppressed, 2);
-}
-
 // --- layering ------------------------------------------------------------
 
 TEST(LayeringRule, FlagsUpwardInclude) {
@@ -250,72 +143,6 @@ TEST(LayeringRule, AllowsDownwardSameRankAndConsumers) {
 #include "src/root/root_pm.h"
 )cc"}});
   EXPECT_EQ(CountRule(r, "layering"), 0);
-}
-
-// --- enum-switch ---------------------------------------------------------
-
-TEST(EnumSwitchRule, FlagsPartialSwitch) {
-  const auto r = RunOn({{"src/hv/e.cc", R"cc(
-int F(Status s) {
-  switch (s) {
-    case Status::kSuccess:
-      return 0;
-    default:
-      return 1;
-  }
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "enum-switch"), 1);
-}
-
-TEST(EnumSwitchRule, SilentWhenExhaustive) {
-  const auto r = RunOn({{"src/hv/e.cc", R"cc(
-int F(Status s) {
-  switch (s) {
-    case Status::kSuccess:
-      return 0;
-    case Status::kNoMem:
-    case Status::kDenied:
-      return 1;
-  }
-  return 2;
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "enum-switch"), 0);
-}
-
-TEST(EnumSwitchRule, ResolvesCollidingShortNamesByCaseLabels) {
-  // `Kind` here is NOT the fixture-header Kind: its labels fit no known
-  // definition fully... but kA does. The rule must only attribute the
-  // switch to the header's Kind when every observed label fits it, and
-  // then report its real gaps.
-  const auto r = RunOn({{"src/hv/e.cc", R"cc(
-int F(Kind k) {
-  switch (k) {
-    case Kind::kA:
-      return 0;
-    case Kind::kB:
-      return 1;
-  }
-  return 2;
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "enum-switch"), 0);
-}
-
-TEST(EnumSwitchRule, SuppressibleOnTheSwitchLine) {
-  const auto r = RunOn({{"src/hv/e.cc", R"cc(
-int F(Status s) {
-  switch (s) {  // nova-lint: allow(enum-switch)
-    case Status::kSuccess:
-      return 0;
-    default:
-      return 1;
-  }
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "enum-switch"), 0);
-  EXPECT_EQ(r.suppressed, 1);
 }
 
 // --- unchecked-downcast --------------------------------------------------
@@ -540,21 +367,21 @@ const char* s = "Write(2);";
 TEST(SourceFile, StandaloneAllowCommentCoversNextLine) {
   const auto r = RunOn({{"src/hv/a.cc", R"cc(
 void F() {
-  // nova-lint: allow(unchecked-status)
-  Write(1);
+  // nova-lint: allow(raw-counter)
+  ctr_.hlt.Add();
 }
 )cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 0);
+  EXPECT_EQ(CountRule(r, "raw-counter"), 0);
   EXPECT_EQ(r.suppressed, 1);
 }
 
 TEST(SourceFile, SuppressionIsRuleSpecific) {
   const auto r = RunOn({{"src/hv/a.cc", R"cc(
 void F() {
-  Write(1);  // nova-lint: allow(raw-span)
+  ctr_.hlt.Add();  // nova-lint: allow(layering)
 }
 )cc"}});
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 1);
+  EXPECT_EQ(CountRule(r, "raw-counter"), 1);
   EXPECT_EQ(r.suppressed, 0);
 }
 
@@ -893,13 +720,17 @@ void Arm(sim::EventQueue& q) {
 
 // --- driver: parallelism, roots, baseline --------------------------------
 
+// The driver and report tests need any one-line finding: a counter bump
+// in src/hv without trace co-emission, reported by raw-counter.
+constexpr const char* kBareBump = "void F() {\n  ctr_.hlt.Add();\n}\n";
+
 TEST(Driver, ParallelRunMatchesSerialByteForByte) {
   std::vector<SourceFile> files;
   files.emplace_back(kHeaderPath, kHeader);
   for (int i = 0; i < 24; ++i) {
     files.emplace_back("src/hv/f" + std::to_string(i) + ".cc",
                        "void F" + std::to_string(i) + "() {\n"
-                       "  Write(1);\n  Write(2);\n}\n");
+                       "  ctr_.hlt.Add();\n  ctr_.hlt.Add();\n}\n");
   }
   const LintResult serial = RunLint(files, AllRules(), 1);
   const LintResult parallel = RunLint(files, AllRules(), 4);
@@ -910,22 +741,22 @@ TEST(Driver, ParallelRunMatchesSerialByteForByte) {
 TEST(Driver, RootsExcludeRulesByLongestPrefix) {
   std::vector<SourceFile> files;
   files.emplace_back(kHeaderPath, kHeader);
-  files.emplace_back("src/hv/a.cc", "void F() {\n  Write(1);\n}\n");
+  files.emplace_back("src/hv/a.cc", kBareBump);
   std::vector<RootSpec> roots;
   roots.push_back({"src", {}});
-  roots.push_back({"src/hv", {"unchecked-status"}});
+  roots.push_back({"src/hv", {"raw-counter"}});
   const LintResult r = RunLint(files, AllRules(), 1, roots);
-  EXPECT_EQ(CountRule(r, "unchecked-status"), 0);
+  EXPECT_EQ(CountRule(r, "raw-counter"), 0);
   const LintResult all = RunLint(files, AllRules(), 1);
-  EXPECT_EQ(CountRule(all, "unchecked-status"), 1);
+  EXPECT_EQ(CountRule(all, "raw-counter"), 1);
 }
 
 TEST(Driver, BaselineRatchetDropsKnownPairsOnly) {
-  LintResult r = RunOn({{"src/hv/a.cc", "void F() {\n  Write(1);\n}\n"},
-                        {"src/hv/b.cc", "void G() {\n  Write(1);\n}\n"}});
+  LintResult r = RunOn({{"src/hv/a.cc", kBareBump},
+                        {"src/hv/b.cc", kBareBump}});
   ASSERT_EQ(r.findings.size(), 2u);
   const int dropped = ApplyBaseline(
-      &r, {"# known debt", "unchecked-status src/hv/a.cc", "", "bogus-line"});
+      &r, {"# known debt", "raw-counter src/hv/a.cc", "", "bogus-line"});
   EXPECT_EQ(dropped, 1);
   EXPECT_EQ(r.baselined, 1);
   ASSERT_EQ(r.findings.size(), 1u);
@@ -935,11 +766,11 @@ TEST(Driver, BaselineRatchetDropsKnownPairsOnly) {
 // --- report formats ------------------------------------------------------
 
 TEST(Report, JsonCarriesSchemaFieldsAndEscapes) {
-  const auto r = RunOn({{"src/hv/a.cc", "void F() {\n  Write(1);\n}\n"}});
+  const auto r = RunOn({{"src/hv/a.cc", kBareBump}});
   ASSERT_EQ(r.findings.size(), 1u);
   const std::string json = FormatJson(r);
   EXPECT_NE(json.find("\"findings\":["), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"unchecked-status\""), std::string::npos);
+  EXPECT_NE(json.find("\"rule\":\"raw-counter\""), std::string::npos);
   EXPECT_NE(json.find("\"file\":\"src/hv/a.cc\""), std::string::npos);
   EXPECT_NE(json.find("\"line\":2"), std::string::npos);
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
@@ -950,17 +781,17 @@ TEST(Report, JsonCarriesSchemaFieldsAndEscapes) {
 }
 
 TEST(Report, TextFormatIsFileLineRuleMessage) {
-  const auto r = RunOn({{"src/hv/a.cc", "void F() {\n  Write(1);\n}\n"}});
+  const auto r = RunOn({{"src/hv/a.cc", kBareBump}});
   const std::string text = FormatText(r);
-  EXPECT_NE(text.find("src/hv/a.cc:2: [unchecked-status]"),
-            std::string::npos);
+  EXPECT_NE(text.find("src/hv/a.cc:2: [raw-counter]"), std::string::npos);
   EXPECT_NE(text.find("1 finding(s)"), std::string::npos);
 }
 
 TEST(Report, FindingsAreSortedByFileThenLine) {
-  const auto r = RunOn({{"src/hv/b.cc", "void F() {\n  Write(1);\n}\n"},
-                        {"src/hv/a.cc",
-                         "void G() {\n  Write(1);\n  Write(2);\n}\n"}});
+  const auto r =
+      RunOn({{"src/hv/b.cc", kBareBump},
+             {"src/hv/a.cc",
+              "void G() {\n  ctr_.hlt.Add();\n  ctr_.hlt.Add();\n}\n"}});
   ASSERT_EQ(r.findings.size(), 3u);
   EXPECT_EQ(r.findings[0].file, "src/hv/a.cc");
   EXPECT_EQ(r.findings[0].line, 2);

@@ -1,117 +1,9 @@
 #include "tools/nova_lint/model.h"
 
-#include <algorithm>
 #include <cctype>
 
 namespace nova::lint {
 namespace {
-
-// Return types whose values encode fallible results; any function
-// declared with one of these becomes must-check by construction.
-bool IsResultType(const std::string& ident) {
-  return ident == "Status" || ident == "Outcome" || ident == "DownResult";
-}
-
-bool IsDeclQualifier(const std::string& ident) {
-  return ident == "virtual" || ident == "static" || ident == "constexpr" ||
-         ident == "inline" || ident == "explicit" || ident == "friend";
-}
-
-// Parses one `enum [class] [[attr]] Name [: base] { ... }` starting at
-// the `enum` token; records the enumerators. Returns the index to resume
-// scanning from.
-int ParseEnum(const Tokens& toks, int i, ProjectModel* model) {
-  int j = i + 1;
-  const int n = static_cast<int>(toks.size());
-  if (j < n && (IsIdent(toks, j, "class") || IsIdent(toks, j, "struct"))) ++j;
-  // Skip attributes: [[ ... ]].
-  while (IsPunct(toks, j, "[")) {
-    const int close = MatchForward(toks, j);
-    if (close < 0) return j;
-    j = close + 1;
-  }
-  if (j >= n || toks[static_cast<std::size_t>(j)].kind != TokKind::kIdent) {
-    return j;  // anonymous enum; nothing to record
-  }
-  const std::string name = toks[static_cast<std::size_t>(j)].text;
-  ++j;
-  // Skip the underlying-type clause up to '{' (or bail at ';' = fwd decl).
-  while (j < n && !IsPunct(toks, j, "{")) {
-    if (IsPunct(toks, j, ";")) return j;
-    ++j;
-  }
-  if (j >= n) return j;
-  const int body_end = MatchForward(toks, j);
-  if (body_end < 0) return j;
-
-  std::vector<std::string> values;
-  bool expect_name = true;
-  int depth = 0;  // parens inside initializer expressions
-  for (int k = j + 1; k < body_end; ++k) {
-    const Token& t = toks[static_cast<std::size_t>(k)];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "(" || t.text == "{" || t.text == "<") ++depth;
-      if (t.text == ")" || t.text == "}" || t.text == ">") --depth;
-      if (t.text == "," && depth == 0) expect_name = true;
-      continue;
-    }
-    if (expect_name && t.kind == TokKind::kIdent && depth == 0) {
-      values.push_back(t.text);
-      expect_name = false;
-    }
-  }
-  if (!values.empty()) {
-    auto& defs = model->enums[name];
-    bool known = false;
-    for (const auto& d : defs) known = known || d == values;
-    if (!known) defs.push_back(values);
-  }
-  return body_end;
-}
-
-// After a [[nodiscard]] attribute: skip declaration qualifiers, then a
-// (possibly qualified) return type, and record the function name directly
-// before the parameter list.
-void ParseNodiscardDecl(const Tokens& toks, int i, ProjectModel* model) {
-  int j = i;
-  const int n = static_cast<int>(toks.size());
-  // i points at the `nodiscard` identifier; skip the closing `]]`.
-  while (j < n && IsPunct(toks, j, "]")) ++j;  // defensive; ']' follows below
-  while (j < n && !IsPunct(toks, j, "]")) ++j;
-  while (j < n && IsPunct(toks, j, "]")) ++j;
-  while (j < n && toks[static_cast<std::size_t>(j)].kind == TokKind::kIdent &&
-         IsDeclQualifier(toks[static_cast<std::size_t>(j)].text)) {
-    ++j;
-  }
-  // Collect `ident (:: ident)* ident (` — the last identifier before the
-  // '(' is the function name; everything before it is the return type.
-  std::string last_ident;
-  bool saw_type = false;
-  while (j < n) {
-    const Token& t = toks[static_cast<std::size_t>(j)];
-    if (t.kind == TokKind::kIdent) {
-      if (!last_ident.empty()) saw_type = true;
-      last_ident = t.text;
-      ++j;
-      continue;
-    }
-    if (IsPunct(toks, j, "::") || IsPunct(toks, j, "*") ||
-        IsPunct(toks, j, "&")) {
-      ++j;
-      continue;
-    }
-    if (IsPunct(toks, j, "<")) {  // templated return type
-      const int close = MatchForward(toks, j);
-      if (close < 0) return;
-      j = close + 1;
-      continue;
-    }
-    break;
-  }
-  if (saw_type && !last_ident.empty() && IsPunct(toks, j, "(")) {
-    model->must_check.insert(last_ident);
-  }
-}
 
 const Token& At(const Tokens& toks, int i) {
   return toks[static_cast<std::size_t>(i)];
@@ -483,36 +375,6 @@ ProjectModel BuildModel(const std::vector<SourceFile>& files,
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
     const SourceFile& f = files[fi];
     const Tokens& t = toks[fi];
-    for (int i = 0; i < static_cast<int>(t.size()); ++i) {
-      const Token& tok = t[static_cast<std::size_t>(i)];
-      if (tok.kind != TokKind::kIdent) continue;
-      if (tok.text == "enum") {
-        i = ParseEnum(t, i, &model);
-        continue;
-      }
-      if (tok.text == "nodiscard") {
-        ParseNodiscardDecl(t, i, &model);
-        continue;
-      }
-      // `Status Foo(` / `Status Cls::Foo(` / `Vtlb::Outcome Resolve(` …
-      if (IsResultType(tok.text)) {
-        const int j = i + 1;
-        if (j < static_cast<int>(t.size()) &&
-            t[static_cast<std::size_t>(j)].kind == TokKind::kIdent) {
-          // Step over `Cls::` qualifiers in out-of-line definition names.
-          int name = j;
-          while (name + 1 < static_cast<int>(t.size()) &&
-                 IsPunct(t, name + 1, "::") &&
-                 t[static_cast<std::size_t>(name + 2)].kind ==
-                     TokKind::kIdent) {
-            name += 2;
-          }
-          if (IsPunct(t, name + 1, "(")) {
-            model.must_check.insert(t[static_cast<std::size_t>(name)].text);
-          }
-        }
-      }
-    }
     for (const ClassScope& cls : scopes[fi].classes) {
       IndexClassMembers(f, t, cls, &model);
     }

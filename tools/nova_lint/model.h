@@ -1,14 +1,12 @@
 // ProjectModel: facts nova-lint mines from the source tree before any
-// rule runs. Besides the original per-file facts (enum definitions,
-// must-check return types, layer ranks) it now carries a whole-project
-// symbol index built by the scope walker: function/method definitions
-// with their call and lock-charge sites, class members with declaration
-// types and `// guarded-by(<lock>)` annotations, and the cross-TU
-// pairing tables for tagged event enqueues vs. rebinder registrations.
+// rule runs. Besides the layer ranks, it carries a whole-project symbol
+// index built by the scope walker: function/method definitions with
+// their call and lock-charge sites, class members with declaration types
+// and `// guarded-by(<lock>)` annotations, and the cross-TU pairing
+// tables for tagged event enqueues vs. rebinder registrations.
 #ifndef TOOLS_NOVA_LINT_MODEL_H_
 #define TOOLS_NOVA_LINT_MODEL_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -60,17 +58,6 @@ struct OwnerSite {
 };
 
 struct ProjectModel {
-  // Enum name (unqualified) -> one enumerator list per distinct
-  // definition. Short names collide across classes (Ec::Kind vs
-  // Vtlb::Kind), so rules must pick the definition consistent with the
-  // enumerators they actually observe at the use site.
-  std::map<std::string, std::vector<std::vector<std::string>>> enums;
-
-  // Function names whose return value must be consumed: anything
-  // declared to return Status / Outcome / DownResult, plus functions
-  // carrying an explicit [[nodiscard]].
-  std::set<std::string> must_check;
-
   // --- Whole-project symbol index (scope-walker derived) ---
   std::vector<MemberDecl> members;
   std::vector<FuncDef> functions;

@@ -39,12 +39,9 @@ class Rule {
 };
 
 // Factories for every shipped rule (one translation unit each).
-std::unique_ptr<Rule> MakeUncheckedStatusRule();
 std::unique_ptr<Rule> MakeQuotaSymmetryRule();
 std::unique_ptr<Rule> MakeRawCounterRule();
-std::unique_ptr<Rule> MakeRawSpanRule();
 std::unique_ptr<Rule> MakeLayeringRule();
-std::unique_ptr<Rule> MakeEnumSwitchRule();
 std::unique_ptr<Rule> MakeUncheckedDowncastRule();
 std::unique_ptr<Rule> MakePerCpuStateRule();
 std::unique_ptr<Rule> MakeSnapshotFieldsRule();
