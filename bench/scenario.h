@@ -43,9 +43,12 @@ class CompileScenario {
   // Node sections (via NovaSystem) plus the scenario layers: the VMM's
   // device models and the host-side guest bookkeeping.
   Status SaveState(sim::Snapshot& snap) const;
-  Status LoadState(sim::Snapshot& snap);
+  Status LoadState(const sim::Snapshot& snap);
 
  private:
+  template <class Self, class Snap>
+  static Status Sections(Self& s, Snap io);
+
   // snapshot-x-list(CompileScenario): config_, system_, vm_, mux_, gk_,
   //   driver_, workload_
   RunConfig config_;

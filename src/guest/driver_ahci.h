@@ -57,27 +57,21 @@ class GuestAhciDriver {
 
   // Host-side mirror of the driver's in-flight bookkeeping; the emitted
   // code and logic slots are construction-time (verified).
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U32(prepare_logic_);
-    w.U32(completion_logic_);
-    w.U32(issued_mask_);
-    w.U64(issued_count_);
-    w.U64(completed_count_);
-    w.U64(retried_count_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    if (r.U32() != prepare_logic_ || r.U32() != completion_logic_) {
-      r.Fail();
-    }
-    issued_mask_ = r.U32();
-    issued_count_ = r.U64();
-    completed_count_ = r.U64();
-    retried_count_ = r.U64();
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.Check32(s.prepare_logic_);
+    io.Check32(s.completion_logic_);
+    io.U32(s.issued_mask_);
+    io.U64(s.issued_count_);
+    io.U64(s.completed_count_);
+    io.U64(s.retried_count_);
+    return io.status();
+  }
+
   // snapshot-x-list(GuestAhciDriver): gk_, config_, prepare_logic_,
   //   completion_logic_, on_complete_, issued_mask_, issued_count_,
   //   completed_count_, retried_count_

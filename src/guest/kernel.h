@@ -104,18 +104,16 @@ class GuestKernel {
   // lives in guest RAM and rides the memory snapshot; the emitted image is
   // construction-time and only verified (entry point must match).
   Status SaveState(sim::SnapWriter& w) const {
-    w.U64(entry_);
+    w.Check64(entry_);
     w.U64(heap_next_);
     w.U64(pt_.pool_next());
-    return Status::kSuccess;
+    return w.status();
   }
   Status LoadState(sim::SnapReader& r) {
-    if (r.U64() != entry_) {
-      r.Fail();
-    }
-    heap_next_ = r.U64();
+    r.Check64(entry_);
+    r.U64(heap_next_);
     pt_.set_pool_next(r.U64());
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
+    return r.status();
   }
 
  private:

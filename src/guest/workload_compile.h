@@ -54,60 +54,33 @@ class CompileWorkload {
   // Full host-side workload state: the RNG stream, per-process address
   // spaces and working sets, and every progress cursor. Process count and
   // logic-slot ids are construction-time (verified).
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U32(static_cast<std::uint32_t>(processes_.size()));
-    w.U32(unit_logic_);
-    w.U32(addr_logic_);
-    if (Status s = rng_.SaveState(w); s != Status::kSuccess) {
-      return s;
-    }
-    for (const Process& p : processes_) {
-      w.U64(p.cr3);
-      w.U32(static_cast<std::uint32_t>(p.touched.size()));
-      for (const std::uint32_t page : p.touched) {
-        w.U32(page);
-      }
-    }
-    w.U32(current_);
-    w.U64(units_done_);
-    w.U64(fresh_pages_);
-    w.U64(switches_);
-    w.U64(disk_reads_);
-    w.U64(next_lba_);
-    w.U32(disk_outstanding_);
-    w.U32(next_fresh_page_);
-    w.Bool(done_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    if (r.U32() != processes_.size() || r.U32() != unit_logic_ ||
-        r.U32() != addr_logic_) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    if (Status s = rng_.LoadState(r); s != Status::kSuccess) {
-      return s;
-    }
-    for (Process& p : processes_) {
-      p.cr3 = r.U64();
-      p.touched.resize(r.U32());
-      for (std::uint32_t& page : p.touched) {
-        page = r.U32();
-      }
-    }
-    current_ = r.U32();
-    units_done_ = r.U64();
-    fresh_pages_ = r.U64();
-    switches_ = r.U64();
-    disk_reads_ = r.U64();
-    next_lba_ = r.U64();
-    disk_outstanding_ = r.U32();
-    next_fresh_page_ = r.U32();
-    done_ = r.Bool();
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.Check32(s.processes_.size());
+    io.Check32(s.unit_logic_);
+    io.Check32(s.addr_logic_);
+    io.State(s.rng_);
+    for (auto& p : s.processes_) {
+      io.U64(p.cr3);
+      io.Seq32(p.touched, [&io](auto& page) { io.U32(page); });
+    }
+    io.U32(s.current_);
+    io.Require(s.current_ < s.processes_.size());  // Indexes processes_.
+    io.U64(s.units_done_);
+    io.U64(s.fresh_pages_);
+    io.U64(s.switches_);
+    io.U64(s.disk_reads_);
+    io.U64(s.next_lba_);
+    io.U32(s.disk_outstanding_);
+    io.U32(s.next_fresh_page_);
+    io.Bool(s.done_);
+    return io.status();
+  }
+
   // snapshot-x-list(CompileWorkload): gk_, driver_, config_, rng_,
   //   processes_, current_, units_done_, fresh_pages_, switches_,
   //   disk_reads_, next_lba_, disk_outstanding_, next_fresh_page_, done_,

@@ -60,53 +60,50 @@ std::size_t CapSpace::used() const {
   return n;
 }
 
-Status CapSpace::SaveState(sim::SnapWriter& w, const OidOf& oid_of) const {
-  w.U32(committed_);
-  w.U64(committed_count_);
-  std::uint32_t occupied = 0;
-  for (const Capability& cap : slots_) {
-    if (cap.object != nullptr) {
-      ++occupied;
+// `map` is the caller's oid translation: object to oid on save, oid to
+// object on load.
+template <class Self, class Io, class Map>
+Status CapSpace::Fields(Self& s, Io& io, const Map& map) {
+  io.U32(s.committed_);
+  io.U64(s.committed_count_);
+  struct Held {
+    CapSel sel = 0;
+    std::uint64_t oid = 0;
+    std::uint8_t perms = 0;
+  };
+  std::vector<Held> held;
+  if constexpr (!Io::kLoading) {
+    for (CapSel sel = 0; sel < s.slots_.size(); ++sel) {
+      const Capability& cap = s.slots_[sel];
+      if (cap.object != nullptr) {
+        held.push_back({sel, map(cap.object.get()), cap.perms});
+        io.Require(held.back().oid != KObject::kNoOid);  // Unregistered.
+      }
     }
   }
-  w.U32(occupied);
-  for (CapSel sel = 0; sel < slots_.size(); ++sel) {
-    const Capability& cap = slots_[sel];
-    if (cap.object == nullptr) {
-      continue;
+  io.Seq32(held, [&io](auto& h) {
+    io.U32(h.sel);
+    io.U64(h.oid);
+    io.U8(h.perms);
+  });
+  if constexpr (Io::kLoading) {
+    s.slots_.assign(kCapSpaceSlots, Capability{});
+    for (const Held& h : held) {
+      ObjRef obj = h.sel < s.slots_.size() ? map(h.oid) : nullptr;
+      io.Require(obj != nullptr);
+      if (obj != nullptr) {
+        s.slots_[h.sel] = Capability{std::move(obj), h.perms};
+      }
     }
-    const std::uint64_t oid = oid_of(cap.object.get());
-    if (oid == KObject::kNoOid) {
-      return Status::kBadParameter;  // Unregistered object in a slot.
-    }
-    w.U32(sel);
-    w.U64(oid);
-    w.U8(cap.perms);
   }
-  return Status::kSuccess;
+  return io.status();
 }
 
+Status CapSpace::SaveState(sim::SnapWriter& w, const OidOf& oid_of) const {
+  return Fields(*this, w, oid_of);
+}
 Status CapSpace::LoadState(sim::SnapReader& r, const RefOf& ref_of) {
-  committed_ = r.U32();
-  committed_count_ = r.U64();
-  slots_.assign(kCapSpaceSlots, Capability{});
-  const std::uint32_t occupied = r.U32();
-  for (std::uint32_t i = 0; i < occupied && r.ok(); ++i) {
-    const CapSel sel = r.U32();
-    const std::uint64_t oid = r.U64();
-    const std::uint8_t perms = r.U8();
-    if (sel >= slots_.size()) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    ObjRef obj = ref_of(oid);
-    if (obj == nullptr) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    slots_[sel] = Capability{std::move(obj), perms};
-  }
-  return r.status();
+  return Fields(*this, r, ref_of);
 }
 
 }  // namespace nova::hv

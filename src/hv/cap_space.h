@@ -77,6 +77,9 @@ class CapSpace {
   Status LoadState(sim::SnapReader& r, const RefOf& ref_of);
 
  private:
+  template <class Self, class Io, class Map>
+  static Status Fields(Self& s, Io& io, const Map& map);
+
   // snapshot-x-list(CapSpace): slots_, charge_, committed_, committed_count_
   std::vector<Capability> slots_;
   ChargeFn charge_;

@@ -205,7 +205,7 @@ class Hypervisor : public KmemPool {
   // Fails kBadParameter if any registered object was already destroyed
   // (snapshot before domain teardown only) or a pending event is untagged.
   Status SaveState(sim::Snapshot& snap) const;
-  Status LoadState(sim::Snapshot& snap);
+  Status LoadState(const sim::Snapshot& snap);
 
   // Object registry: every kernel object gets a creation-order ordinal.
   ObjRef ObjectByOid(std::uint64_t oid) const {
@@ -234,6 +234,9 @@ class Hypervisor : public KmemPool {
   void EnqueueSc(Sc* sc, bool at_head = false);
   // Pull a dying EC out of its core's ready queue and halted list.
   void UnscheduleEc(Ec* ec);
+
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // A simple contention model for kernel structures shared across cores:
   // an acquire from a different core within the previous holder's hold

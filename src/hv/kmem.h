@@ -67,18 +67,17 @@ class KmemQuota {
     limit_ = frames > limit_ ? 0 : limit_ - frames;
   }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(limit_);
-    w.U64(used_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    limit_ = r.U64();
-    used_ = r.U64();
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.U64(s.limit_);
+    io.U64(s.used_);
+    return io.status();
+  }
+
   // snapshot-x-list(KmemQuota): limit_, used_
   std::uint64_t limit_ = kUnlimited;  // kUnlimited => pass-through.
   std::uint64_t used_ = 0;

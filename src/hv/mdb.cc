@@ -105,85 +105,80 @@ void Mdb::Revoke(const Pd* pd, const Crd& crd, bool include_self,
   }
 }
 
-Status Mdb::SaveState(sim::SnapWriter& w, const PdOidOf& oid_of) const {
-  // Node identity on the wire is the index in nodes_. The pointer-keyed
-  // index is lookup-only — it is never iterated, so bucket order cannot
-  // reach the encoding.
-  // nova-lint: allow(determinism) -- lookup-only table, never iterated
-  std::unordered_map<const MdbNode*, std::uint64_t> index;
-  index.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    index[nodes_[i].get()] = i;
-  }
-  w.U64(nodes_.size());
-  for (const auto& node : nodes_) {
-    const std::uint64_t pd_oid = oid_of(node->pd);
-    if (pd_oid == ~0ull) {
-      return Status::kBadParameter;  // Node owned by an unregistered domain.
+// Nodes travel as records addressing their domain by oid (`map`
+// translates: Pd to oid on save, oid to Pd on load) and their parent and
+// children by index in nodes_.
+template <class Self, class Io, class Map>
+Status Mdb::Fields(Self& s, Io& io, const Map& map) {
+  struct Rec {
+    std::uint64_t pd = 0;
+    MdbNode node;  // Range fields only; links travel as indices.
+    std::uint64_t parent = kNoIndex;
+    std::vector<std::uint64_t> children;
+  };
+  std::vector<Rec> recs;
+  if constexpr (!Io::kLoading) {
+    // The pointer-keyed index is lookup-only — it is never iterated, so
+    // bucket order cannot reach the encoding.
+    // nova-lint: allow(determinism) -- lookup-only table, never iterated
+    std::unordered_map<const MdbNode*, std::uint64_t> index;
+    index.reserve(s.nodes_.size());
+    for (std::size_t i = 0; i < s.nodes_.size(); ++i) {
+      index[s.nodes_[i].get()] = i;
     }
-    w.U64(pd_oid);
-    w.U8(static_cast<std::uint8_t>(node->kind));
-    w.U64(node->base);
-    w.U64(node->count);
-    w.U8(node->perms);
-    w.U64(node->src_base);
-    w.U64(node->parent != nullptr ? index.at(node->parent) : ~0ull);
-    w.U32(static_cast<std::uint32_t>(node->children.size()));
-    for (const MdbNode* child : node->children) {
-      w.U64(index.at(child));
+    for (const auto& node : s.nodes_) {
+      Rec rec{map(node->pd), *node,
+              node->parent != nullptr ? index.at(node->parent) : kNoIndex,
+              {}};
+      for (const MdbNode* child : node->children) {
+        rec.children.push_back(index.at(child));
+      }
+      io.Require(rec.pd != kNoIndex);  // Node owned by an unregistered domain.
+      recs.push_back(std::move(rec));
     }
   }
-  return Status::kSuccess;
+  io.Seq64(recs, [&io](auto& rec) {
+    io.U64(rec.pd);
+    io.Enum(rec.node.kind, CrdKind::kObj);
+    io.U64(rec.node.base);
+    io.U64(rec.node.count);
+    io.U8(rec.node.perms);
+    io.U64(rec.node.src_base);
+    io.U64(rec.parent);
+    io.Seq32(rec.children, [&io](auto& c) { io.U64(c); });
+  });
+  if constexpr (Io::kLoading) {
+    const std::uint64_t n = recs.size();
+    for (const Rec& rec : recs) {
+      io.Require(map(rec.pd) != nullptr &&
+                 (rec.parent == kNoIndex || rec.parent < n) &&
+                 std::all_of(rec.children.begin(), rec.children.end(),
+                             [n](std::uint64_t c) { return c < n; }));
+    }
+    if (!io.ok()) return io.status();
+    s.nodes_.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      s.nodes_.push_back(std::make_unique<MdbNode>());
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const Rec& rec = recs[i];
+      MdbNode& node = *s.nodes_[i];
+      node = rec.node;
+      node.pd = map(rec.pd);
+      if (rec.parent != kNoIndex) node.parent = s.nodes_[rec.parent].get();
+      for (const std::uint64_t c : rec.children) {
+        node.children.push_back(s.nodes_[c].get());
+      }
+    }
+  }
+  return io.status();
 }
 
+Status Mdb::SaveState(sim::SnapWriter& w, const PdOidOf& oid_of) const {
+  return Fields(*this, w, oid_of);
+}
 Status Mdb::LoadState(sim::SnapReader& r, const PdByOid& pd_of) {
-  nodes_.clear();
-  const std::uint64_t n = r.U64();
-  nodes_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<MdbNode>());
-  }
-  std::vector<std::vector<std::uint64_t>> children(n);
-  std::vector<std::uint64_t> parents(n, ~0ull);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    MdbNode* node = nodes_[i].get();
-    node->pd = pd_of(r.U64());
-    node->kind = static_cast<CrdKind>(r.U8());
-    node->base = r.U64();
-    node->count = r.U64();
-    node->perms = r.U8();
-    node->src_base = r.U64();
-    parents[i] = r.U64();
-    const std::uint32_t nc = r.U32();
-    children[i].resize(nc);
-    for (std::uint32_t c = 0; c < nc && r.ok(); ++c) {
-      children[i][c] = r.U64();
-    }
-    if (node->pd == nullptr) {
-      r.Fail();
-    }
-  }
-  if (!r.ok()) {
-    nodes_.clear();
-    return r.status();
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (parents[i] != ~0ull) {
-      if (parents[i] >= n) {
-        r.Fail();
-        return r.status();
-      }
-      nodes_[i]->parent = nodes_[parents[i]].get();
-    }
-    for (const std::uint64_t c : children[i]) {
-      if (c >= n) {
-        r.Fail();
-        return r.status();
-      }
-      nodes_[i]->children.push_back(nodes_[c].get());
-    }
-  }
-  return r.status();
+  return Fields(*this, r, pd_of);
 }
 
 void Mdb::DropDomain(const Pd* pd, const UnmapFn& unmap) {

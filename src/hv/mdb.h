@@ -89,6 +89,9 @@ class Mdb {
  private:
   void RevokeSubtree(MdbNode* node, const UnmapFn& unmap);
   void Erase(MdbNode* node);
+  static constexpr std::uint64_t kNoIndex = ~0ull;
+  template <class Self, class Io, class Map>
+  static Status Fields(Self& s, Io& io, const Map& map);
 
   // snapshot-x-list(Mdb): nodes_
   std::vector<std::unique_ptr<MdbNode>> nodes_;

@@ -18,179 +18,64 @@
 namespace nova::hv {
 namespace {
 
-// --- Plain-struct helpers -------------------------------------------------
+// --- Plain-struct walks ---------------------------------------------------
 
-void SaveCrd(sim::SnapWriter& w, const Crd& crd) {
-  w.U8(static_cast<std::uint8_t>(crd.kind));
-  w.U64(crd.base);
-  w.U8(crd.order);
-  w.U8(crd.perms);
+template <class C, class Io>
+void CrdFields(C& crd, Io& io) {
+  io.Enum(crd.kind, CrdKind::kObj);
+  io.U64(crd.base);
+  io.U8(crd.order);
+  io.U8(crd.perms);
 }
 
-void LoadCrd(sim::SnapReader& r, Crd* crd) {
-  crd->kind = static_cast<CrdKind>(r.U8());
-  crd->base = r.U64();
-  crd->order = r.U8();
-  crd->perms = r.U8();
+template <class A, class Io>
+void ArchFields(A& a, Io& io) {
+  for (auto& reg : a.regs) io.U64(reg);
+  io.U64(a.rip);
+  io.U64(a.insn_len);
+  io.Bool(a.interrupts_enabled);
+  io.U64(a.cr3);
+  io.U64(a.cr2);
+  io.Bool(a.paging);
+  io.U64(a.qual_gva);
+  io.U64(a.qual_gpa);
+  io.U64(a.qual);
+  io.Bool(a.inject_pending);
+  io.U8(a.inject_vector);
+  io.Bool(a.request_intr_window);
+  io.Bool(a.halted);
+  io.U64(a.tsc);
 }
 
-void SaveArch(sim::SnapWriter& w, const ArchState& a) {
-  for (const std::uint64_t reg : a.regs) {
-    w.U64(reg);
+template <class U, class Io>
+void UtcbFields(U& u, Io& io) {
+  io.U32(u.untyped);
+  for (auto& word : u.words) io.U64(word);
+  io.U32(u.num_typed);
+  for (auto& item : u.typed) {
+    CrdFields(item.crd, io);
+    io.U64(item.hotspot);
   }
-  w.U64(a.rip);
-  w.U64(a.insn_len);
-  w.Bool(a.interrupts_enabled);
-  w.U64(a.cr3);
-  w.U64(a.cr2);
-  w.Bool(a.paging);
-  w.U64(a.qual_gva);
-  w.U64(a.qual_gpa);
-  w.U64(a.qual);
-  w.Bool(a.inject_pending);
-  w.U8(a.inject_vector);
-  w.Bool(a.request_intr_window);
-  w.Bool(a.halted);
-  w.U64(a.tsc);
+  CrdFields(u.recv_window, io);
+  ArchFields(u.arch, io);
+  io.U32(u.mtd);
 }
-
-void LoadArch(sim::SnapReader& r, ArchState* a) {
-  for (std::uint64_t& reg : a->regs) {
-    reg = r.U64();
-  }
-  a->rip = r.U64();
-  a->insn_len = r.U64();
-  a->interrupts_enabled = r.Bool();
-  a->cr3 = r.U64();
-  a->cr2 = r.U64();
-  a->paging = r.Bool();
-  a->qual_gva = r.U64();
-  a->qual_gpa = r.U64();
-  a->qual = r.U64();
-  a->inject_pending = r.Bool();
-  a->inject_vector = r.U8();
-  a->request_intr_window = r.Bool();
-  a->halted = r.Bool();
-  a->tsc = r.U64();
-}
-
-void SaveUtcb(sim::SnapWriter& w, const Utcb& u) {
-  w.U32(u.untyped);
-  for (const std::uint64_t word : u.words) {
-    w.U64(word);
-  }
-  w.U32(u.num_typed);
-  for (const TypedItem& item : u.typed) {
-    SaveCrd(w, item.crd);
-    w.U64(item.hotspot);
-  }
-  SaveCrd(w, u.recv_window);
-  SaveArch(w, u.arch);
-  w.U32(u.mtd);
-}
-
-void LoadUtcb(sim::SnapReader& r, Utcb* u) {
-  u->untyped = r.U32();
-  for (std::uint64_t& word : u->words) {
-    word = r.U64();
-  }
-  u->num_typed = r.U32();
-  for (TypedItem& item : u->typed) {
-    LoadCrd(r, &item.crd);
-    item.hotspot = r.U64();
-  }
-  LoadCrd(r, &u->recv_window);
-  LoadArch(r, &u->arch);
-  u->mtd = r.U32();
-}
-
-}  // namespace
-
-// Extern (snapshot.h): shared with user-level guest checkpointing.
-void SaveGuestState(sim::SnapWriter& w, const hw::GuestState& g) {
-  for (const std::uint64_t reg : g.regs) {
-    w.U64(reg);
-  }
-  w.U64(g.rip);
-  w.U64(g.cr3);
-  w.U64(g.cr2);
-  w.Bool(g.paging);
-  w.Bool(g.interrupts_enabled);
-  w.Bool(g.halted);
-  for (const std::uint64_t handler : g.idt) {
-    w.U64(handler);
-  }
-  w.U32(static_cast<std::uint32_t>(g.frame_depth));
-  for (const hw::GuestState::Frame& f : g.frames) {
-    w.U64(f.rip);
-    w.Bool(f.interrupts_enabled);
-    for (const std::uint64_t reg : f.regs) {
-      w.U64(reg);
-    }
-  }
-  w.Bool(g.inject_pending);
-  w.U8(g.inject_vector);
-  w.Bool(g.request_intr_window);
-  w.Bool(g.recall_pending);
-}
-
-void LoadGuestState(sim::SnapReader& r, hw::GuestState* g) {
-  for (std::uint64_t& reg : g->regs) {
-    reg = r.U64();
-  }
-  g->rip = r.U64();
-  g->cr3 = r.U64();
-  g->cr2 = r.U64();
-  g->paging = r.Bool();
-  g->interrupts_enabled = r.Bool();
-  g->halted = r.Bool();
-  for (std::uint64_t& handler : g->idt) {
-    handler = r.U64();
-  }
-  g->frame_depth = static_cast<int>(r.U32());
-  for (hw::GuestState::Frame& f : g->frames) {
-    f.rip = r.U64();
-    f.interrupts_enabled = r.Bool();
-    for (std::uint64_t& reg : f.regs) {
-      reg = r.U64();
-    }
-  }
-  g->inject_pending = r.Bool();
-  g->inject_vector = r.U8();
-  g->request_intr_window = r.Bool();
-  g->recall_pending = r.Bool();
-}
-
-namespace {
 
 // VmControls minus io_passthrough: the bitmap pointer targets the owning
 // PD's IoSpace, which the twin wires at construction.
-void SaveControls(sim::SnapWriter& w, const hw::VmControls& c) {
-  w.U8(static_cast<std::uint8_t>(c.mode));
-  w.U8(static_cast<std::uint8_t>(c.nested_format));
-  w.U64(c.nested_root);
-  w.U16(c.tag);
-  w.U16(c.base_tag);
-  w.Bool(c.direct_interrupts);
-  w.Bool(c.intercept_cpuid);
-  w.Bool(c.intercept_hlt);
-  w.Bool(c.intercept_cr3);
-  w.Bool(c.intercept_invlpg);
-  w.Bool(c.intercept_vmcall);
-}
-
-void LoadControls(sim::SnapReader& r, hw::VmControls* c) {
-  c->mode = static_cast<hw::TranslationMode>(r.U8());
-  c->nested_format = static_cast<hw::PagingMode>(r.U8());
-  c->nested_root = r.U64();
-  c->tag = r.U16();
-  c->base_tag = r.U16();
-  c->direct_interrupts = r.Bool();
-  c->intercept_cpuid = r.Bool();
-  c->intercept_hlt = r.Bool();
-  c->intercept_cr3 = r.Bool();
-  c->intercept_invlpg = r.Bool();
-  c->intercept_vmcall = r.Bool();
+template <class C, class Io>
+void ControlsFields(C& c, Io& io) {
+  io.Enum(c.mode, hw::TranslationMode::kShadow);
+  io.Enum(c.nested_format, hw::PagingMode::kFourLevel);
+  io.U64(c.nested_root);
+  io.U16(c.tag);
+  io.U16(c.base_tag);
+  io.Bool(c.direct_interrupts);
+  io.Bool(c.intercept_cpuid);
+  io.Bool(c.intercept_hlt);
+  io.Bool(c.intercept_cr3);
+  io.Bool(c.intercept_invlpg);
+  io.Bool(c.intercept_vmcall);
 }
 
 std::uint64_t OidOrNone(const KObject* obj) {
@@ -206,40 +91,34 @@ T* MaybeRaw(const std::shared_ptr<T>& ref) {
 
 }  // namespace
 
+// Pool, allocator, lock and boot state, the kernel stat registry (Table 2
+// counters) and the per-CPU VM engines: the part of "hv.kernel" that is
+// plain state. The object graph that follows it is translated through
+// oids, in opposite directions on save and load, so it keeps two paths.
+template <class Self, class Io>
+Status Hypervisor::Fields(Self& s, Io& io) {
+  io.U64(s.kernel_reserve_);
+  io.U64(s.pool_next_);
+  io.Seq64(s.pool_free_, [&io](auto& frame) { io.U64(frame); });
+  io.U32(s.boot_cpu_for_step_);
+  for (auto* lock : {&s.sched_lock_, &s.mdb_lock_, &s.xcall_lock_}) {
+    io.U32(lock->last_cpu);
+    io.U64(lock->hold_until_ps);
+  }
+  io.State(s.tlb_tags_);
+  io.Bool(s.vtlb_policy_.cache_contexts);
+  io.Bool(s.vtlb_policy_.use_vpid);
+  io.U32(s.vtlb_policy_.max_cached_frames);
+  io.State(s.stats_);
+  io.Check32(s.engines_.size());
+  for (auto& engine : s.engines_) io.State(*engine);
+  return io.status();
+}
+
 Status Hypervisor::SaveState(sim::Snapshot& snap) const {
   sim::SnapWriter& w = snap.Section("hv.kernel", 1);
-
-  // Pool / allocator / boot state.
-  w.U64(kernel_reserve_);
-  w.U64(pool_next_);
-  w.U64(pool_free_.size());
-  for (const hw::PhysAddr frame : pool_free_) {
-    w.U64(frame);
-  }
-  w.U32(boot_cpu_for_step_);
-  for (const KernelLock* lock : {&sched_lock_, &mdb_lock_, &xcall_lock_}) {
-    w.U32(lock->last_cpu);
-    w.U64(lock->hold_until_ps);
-  }
-  Status st = tlb_tags_.SaveState(w);
-  if (!Ok(st)) {
+  if (Status st = Fields(*this, w); !Ok(st)) {
     return st;
-  }
-  w.Bool(vtlb_policy_.cache_contexts);
-  w.Bool(vtlb_policy_.use_vpid);
-  w.U32(vtlb_policy_.max_cached_frames);
-
-  // Kernel stat registry (Table 2 counters) and per-CPU VM engines.
-  st = stats_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  w.U32(static_cast<std::uint32_t>(engines_.size()));
-  for (const auto& engine : engines_) {
-    st = engine->SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
   }
 
   // Object graph, in creation (oid) order. An expired entry means the
@@ -257,29 +136,13 @@ Status Hypervisor::SaveState(sim::Snapshot& snap) const {
         const auto pd = std::static_pointer_cast<Pd>(obj);
         w.Str(pd->name());
         w.Bool(pd->is_vm());
-        st = pd->kmem().SaveState(w);
-        if (!Ok(st)) {
-          return st;
-        }
+        w.State(pd->kmem());
         w.U64(OidOrNone(pd->kmem_donor().get()));
-        st = pd->caps().SaveState(w, OidOrNone);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->mem_space().SaveState(w);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->io_space().SaveState(w);
-        if (!Ok(st)) {
-          return st;
-        }
+        w.Latch(pd->caps().SaveState(w, OidOrNone));
+        w.State(pd->mem_space(), pd->io_space());
         w.U16(pd->vm_tag());
-        const auto& devices = pd->assigned_devices();
-        w.U32(static_cast<std::uint32_t>(devices.size()));
-        for (const std::uint16_t dev : devices) {
-          w.U16(dev);
-        }
+        w.Seq32(pd->assigned_devices(),
+                [&w](std::uint16_t dev) { w.U16(dev); });
         w.U64(pd->cores_mask());
         break;
       }
@@ -288,24 +151,18 @@ Status Hypervisor::SaveState(sim::Snapshot& snap) const {
         w.U8(static_cast<std::uint8_t>(ec->kind()));
         w.U32(ec->cpu());
         w.U64(ec->pd().oid());
-        SaveUtcb(w, ec->utcb());
+        UtcbFields(ec->utcb(), w);
         w.U32(ec->evt_base());
-        w.U8(static_cast<std::uint8_t>(ec->block_state()));
-        w.U8(static_cast<std::uint8_t>(ec->wake_status()));
+        w.Enum(ec->block_state(), Ec::BlockState::kBlockedHalt);
+        w.Enum(ec->wake_status(), Status::kNoMem);
         w.U64(OidOrNone(ec->blocked_on()));
         w.U64(ec->timeout_event());
         w.U64(OidOrNone(ec->sc()));
         w.Bool(ec->busy());
-        SaveGuestState(w, ec->gstate());
-        SaveControls(w, ec->ctl());
-        const bool has_vtlb = ec->vtlb() != nullptr;
-        w.Bool(has_vtlb);
-        if (has_vtlb) {
-          st = ec->vtlb()->SaveState(w);
-          if (!Ok(st)) {
-            return st;
-          }
-        }
+        GuestStateFields(ec->gstate(), w);
+        ControlsFields(ec->ctl(), w);
+        w.Bool(ec->vtlb() != nullptr);
+        if (ec->vtlb() != nullptr) w.State(*ec->vtlb());
         break;
       }
       case ObjType::kSc: {
@@ -329,11 +186,7 @@ Status Hypervisor::SaveState(sim::Snapshot& snap) const {
         w.U64(sm->counter());
         w.U32(sm->bound_gsi());
         w.U64(OidOrNone(sm->owner()));
-        const auto& waiters = sm->waiters();
-        w.U32(static_cast<std::uint32_t>(waiters.size()));
-        for (const auto& waiter : waiters) {
-          w.U64(waiter->oid());
-        }
+        w.Seq32(sm->waiters(), [&w](const auto& ec) { w.U64(ec->oid()); });
         break;
       }
     }
@@ -358,28 +211,18 @@ Status Hypervisor::SaveState(sim::Snapshot& snap) const {
     w.U64(OidOrNone(state.current()));
     std::vector<Sc*> ready;
     state.CollectReady(&ready);
-    w.U32(static_cast<std::uint32_t>(ready.size()));
-    for (const Sc* sc : ready) {
-      w.U64(sc->oid());
-    }
-    const auto& halted = state.halted();
-    w.U32(static_cast<std::uint32_t>(halted.size()));
-    for (const auto& ec : halted) {
-      w.U64(ec->oid());
-    }
+    w.Seq32(ready, [&w](const Sc* sc) { w.U64(sc->oid()); });
+    w.Seq32(state.halted(), [&w](const auto& ec) { w.U64(ec->oid()); });
   }
 
   // Mapping database and root sanity anchor.
   // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  st = mdb_.SaveState(w, [](const Pd* pd) { return OidOrNone(pd); });
-  if (!Ok(st)) {
-    return st;
-  }
+  w.Latch(mdb_.SaveState(w, [](const Pd* pd) { return OidOrNone(pd); }));
   w.U64(OidOrNone(root_pd_.get()));
-  return Status::kSuccess;
+  return w.status();
 }
 
-Status Hypervisor::LoadState(sim::Snapshot& snap) {
+Status Hypervisor::LoadState(const sim::Snapshot& snap) {
   sim::SnapReader r = snap.Open("hv.kernel", 1);
 
   // Lock every registered object for the duration of the overlay, so no
@@ -394,156 +237,95 @@ Status Hypervisor::LoadState(sim::Snapshot& snap) {
     }
     keeper.push_back(std::move(obj));
   }
-
-  kernel_reserve_ = r.U64();
-  pool_next_ = r.U64();
-  pool_free_.clear();
-  const std::uint64_t free_count = r.U64();
-  for (std::uint64_t i = 0; i < free_count && r.ok(); ++i) {
-    pool_free_.push_back(r.U64());
-  }
-  boot_cpu_for_step_ = r.U32();
-  for (KernelLock* lock : {&sched_lock_, &mdb_lock_, &xcall_lock_}) {
-    lock->last_cpu = r.U32();
-    lock->hold_until_ps = r.U64();
-  }
-  Status st = tlb_tags_.LoadState(r);
-  if (!Ok(st)) {
+  if (Status st = Fields(*this, r); !Ok(st)) {
     return st;
-  }
-  vtlb_policy_.cache_contexts = r.Bool();
-  vtlb_policy_.use_vpid = r.Bool();
-  vtlb_policy_.max_cached_frames = r.U32();
-
-  st = stats_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  if (r.U32() != engines_.size()) {
-    return Status::kBadParameter;
-  }
-  for (auto& engine : engines_) {
-    st = engine->LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
   }
 
   // Object overlay. Construction-time invariants (type, name, kind, home
   // CPU, priority, wiring oids) are verified against the twin.
-  if (r.U64() != objects_.size()) {
-    return Status::kBadParameter;
-  }
+  r.Check64(objects_.size());
   const auto by_oid = [this](std::uint64_t oid) { return ObjectByOid(oid); };
-  for (std::uint64_t oid = 0; oid < objects_.size(); ++oid) {
+  // A counted list of oids, each naming a live object of `type`.
+  const auto refs = [&r, &by_oid](auto& out, ObjType type) {
+    r.Seq32(out, [&](auto& ref) {
+      using T = typename std::remove_reference_t<decltype(ref)>::element_type;
+      ref = RefAs<T>(by_oid(r.U64()), type);
+      r.Require(ref != nullptr);
+    });
+  };
+  for (std::uint64_t oid = 0; oid < objects_.size() && r.ok(); ++oid) {
     const ObjRef& obj = keeper[oid];
-    if (static_cast<ObjType>(r.U8()) != obj->type()) {
-      return Status::kBadParameter;
-    }
+    r.Require(static_cast<ObjType>(r.U8()) == obj->type());
     if (r.Bool()) {
       obj->MarkDead();
     }
     switch (obj->type()) {
       case ObjType::kPd: {
         auto pd = std::static_pointer_cast<Pd>(obj);
-        if (r.Str() != pd->name() || r.Bool() != pd->is_vm()) {
-          return Status::kBadParameter;
-        }
-        st = pd->kmem().LoadState(r);
-        if (!Ok(st)) {
-          return st;
-        }
+        r.Require(r.Str() == pd->name() && r.Bool() == pd->is_vm());
+        r.State(pd->kmem());
         pd->set_kmem_donor(RefAs<Pd>(by_oid(r.U64()), ObjType::kPd));
-        st = pd->caps().LoadState(r, by_oid);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->mem_space().LoadState(r);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->io_space().LoadState(r);
-        if (!Ok(st)) {
-          return st;
-        }
+        r.Latch(pd->caps().LoadState(r, by_oid));
+        r.State(pd->mem_space(), pd->io_space());
         pd->set_vm_tag(r.U16());
-        auto& devices = pd->assigned_devices();
-        devices.clear();
-        const std::uint32_t num_devices = r.U32();
-        for (std::uint32_t i = 0; i < num_devices && r.ok(); ++i) {
-          devices.push_back(r.U16());
-        }
+        r.Seq32(pd->assigned_devices(),
+                [&r](std::uint16_t& dev) { r.U16(dev); });
         pd->SetCoresMask(r.U64());
         break;
       }
       case ObjType::kEc: {
         auto ec = std::static_pointer_cast<Ec>(obj);
-        if (static_cast<Ec::Kind>(r.U8()) != ec->kind() ||
-            r.U32() != ec->cpu() || r.U64() != ec->pd().oid()) {
-          return Status::kBadParameter;
-        }
-        LoadUtcb(r, &ec->utcb());
+        r.Require(static_cast<Ec::Kind>(r.U8()) == ec->kind() &&
+                  r.U32() == ec->cpu() && r.U64() == ec->pd().oid());
+        UtcbFields(ec->utcb(), r);
         ec->set_evt_base(r.U32());
-        ec->set_block_state(static_cast<Ec::BlockState>(r.U8()));
-        ec->set_wake_status(static_cast<Status>(r.U8()));
+        Ec::BlockState block = Ec::BlockState::kRunnable;
+        r.Enum(block, Ec::BlockState::kBlockedHalt);
+        ec->set_block_state(block);
+        Status wake = Status::kSuccess;
+        r.Enum(wake, Status::kNoMem);
+        ec->set_wake_status(wake);
         ec->set_blocked_on(MaybeRaw(RefAs<Sm>(by_oid(r.U64()), ObjType::kSm)));
         ec->set_timeout_event(r.U64());
         ec->set_sc(MaybeRaw(RefAs<Sc>(by_oid(r.U64()), ObjType::kSc)));
         ec->set_busy(r.Bool());
-        LoadGuestState(r, &ec->gstate());
-        LoadControls(r, &ec->ctl());
-        if (r.Bool()) {
+        GuestStateFields(ec->gstate(), r);
+        ControlsFields(ec->ctl(), r);
+        if (r.Bool() && r.ok()) {
           // Vtlbs attach lazily; the twin has not run a shadow exit yet.
-          st = VtlbFor(ec.get()).LoadState(r);
-          if (!Ok(st)) {
-            return st;
-          }
+          r.State(VtlbFor(ec.get()));
         }
         break;
       }
       case ObjType::kSc: {
         auto sc = std::static_pointer_cast<Sc>(obj);
-        if (r.U64() != sc->ec().oid() || r.U8() != sc->prio() ||
-            r.U64() != sc->quantum()) {
-          return Status::kBadParameter;
-        }
+        r.Require(r.U64() == sc->ec().oid() && r.U8() == sc->prio() &&
+                  r.U64() == sc->quantum());
         sc->SetLeft(r.U64());
         sc->set_queued(r.Bool());
         break;
       }
       case ObjType::kPt: {
         auto pt = std::static_pointer_cast<Pt>(obj);
-        if (r.U64() != pt->handler().oid()) {
-          return Status::kBadParameter;
-        }
+        r.Check64(pt->handler().oid());
         pt->set_mtd(r.U32());
-        if (r.U64() != pt->id()) {
-          return Status::kBadParameter;
-        }
+        r.Check64(pt->id());
         break;
       }
       case ObjType::kSm: {
         auto sm = std::static_pointer_cast<Sm>(obj);
         sm->set_counter(r.U64());
-        sm->bind_gsi(r.U32());
+        const std::uint32_t gsi = r.U32();
+        r.Require(gsi == ~0u || gsi < hw::kNumGsis);  // Indexes gsi_sms_.
+        sm->bind_gsi(gsi);
         sm->set_owner(MaybeRaw(RefAs<Pd>(by_oid(r.U64()), ObjType::kPd)));
-        auto& waiters = sm->waiters();
-        waiters.clear();
-        const std::uint32_t num_waiters = r.U32();
-        for (std::uint32_t i = 0; i < num_waiters && r.ok(); ++i) {
-          auto waiter = RefAs<Ec>(by_oid(r.U64()), ObjType::kEc);
-          if (waiter == nullptr) {
-            r.Fail();
-            break;
-          }
-          waiters.push_back(std::move(waiter));
-        }
+        refs(sm->waiters(), ObjType::kEc);
         break;
       }
     }
-    if (!r.ok()) {
-      return r.status();
-    }
+  }
+  if (!r.ok()) {
+    return r.status();
   }
 
   // Restore happens before the machine runs; nothing can race it.
@@ -558,52 +340,34 @@ Status Hypervisor::LoadState(sim::Snapshot& snap) {
 
   // Per-core scheduler overlay. Machine-wide rebuild by design:
   // nova-lint: allow(per-cpu-state)
-  if (r.U32() != cpu_states_.size()) {
-    return Status::kBadParameter;
-  }
+  r.Check32(cpu_states_.size());
   // nova-lint: allow(per-cpu-state)
   for (CpuState& state : cpu_states_) {
+    if (!r.ok()) {
+      break;
+    }
     state.SetCurrent(MaybeRaw(RefAs<Sc>(by_oid(r.U64()), ObjType::kSc)));
     state.ClearReady();
-    const std::uint32_t num_ready = r.U32();
-    for (std::uint32_t i = 0; i < num_ready && r.ok(); ++i) {
-      auto sc = RefAs<Sc>(by_oid(r.U64()), ObjType::kSc);
-      if (sc == nullptr) {
-        r.Fail();
-        break;
-      }
+    std::vector<std::shared_ptr<Sc>> ready;
+    refs(ready, ObjType::kSc);
+    for (const auto& sc : ready) {
       // Enqueue in the saved dequeue order (priority-descending, FIFO per
       // level) reproduces the exact deque contents; the queued flag was
       // already overlaid, so drop it for the guard and re-set via Enqueue.
       sc->set_queued(false);
       state.Enqueue(sc.get());
     }
-    auto& halted = state.halted();
-    halted.clear();
-    const std::uint32_t num_halted = r.U32();
-    for (std::uint32_t i = 0; i < num_halted && r.ok(); ++i) {
-      auto ec = RefAs<Ec>(by_oid(r.U64()), ObjType::kEc);
-      if (ec == nullptr) {
-        r.Fail();
-        break;
-      }
-      halted.push_back(std::move(ec));
-    }
+    refs(state.halted(), ObjType::kEc);
   }
   if (!r.ok()) {
     return r.status();
   }
 
   // nova-lint: allow(lock-discipline) -- quiesced-machine restore
-  st = mdb_.LoadState(r, [this](std::uint64_t oid) {
+  r.Latch(mdb_.LoadState(r, [this](std::uint64_t oid) {
     return MaybeRaw(RefAs<Pd>(ObjectByOid(oid), ObjType::kPd));
-  });
-  if (!Ok(st)) {
-    return st;
-  }
-  if (r.U64() != OidOrNone(root_pd_.get())) {
-    return Status::kBadParameter;
-  }
+  }));
+  r.Check64(OidOrNone(root_pd_.get()));
   return r.Finish();
 }
 

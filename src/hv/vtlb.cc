@@ -467,43 +467,27 @@ void Vtlb::EnforceFrameBudget() {
   }
 }
 
-Status Vtlb::SaveState(sim::SnapWriter& w) const {
-  w.U64(contexts_.size());
-  for (const auto& [key, ctx] : contexts_) {
-    w.U64(key);
-    w.U64(ctx.root);
-    w.U16(ctx.tag);
-    w.U64(ctx.frames);
-    w.U64(ctx.last_use);
-  }
-  w.U64(active_key_);
-  w.Bool(has_active_);
-  w.U64(use_clock_);
-  w.U64(frames_held_);
-  return Status::kSuccess;
+// The twin's lazily-attached Vtlb starts empty (fresh boot never ran a
+// shadow fill before the checkpoint overlay), so a load has nothing to
+// free; the restored roots are pool frames whose contents arrived with the
+// memory section.
+template <class Self, class Io>
+Status Vtlb::Fields(Self& s, Io& io) {
+  io.Seq64(s.contexts_, [&io](auto& kv) {
+    io.U64(kv.first);
+    io.U64(kv.second.root);
+    io.U16(kv.second.tag);
+    io.U64(kv.second.frames);
+    io.U64(kv.second.last_use);
+  });
+  io.U64(s.active_key_);
+  io.Bool(s.has_active_);
+  io.U64(s.use_clock_);
+  io.U64(s.frames_held_);
+  return io.status();
 }
 
-Status Vtlb::LoadState(sim::SnapReader& r) {
-  // The twin's lazily-attached Vtlb starts empty (fresh boot never ran a
-  // shadow fill before the checkpoint overlay), so there is nothing to
-  // free here; the restored roots are pool frames whose contents arrived
-  // with the memory section.
-  contexts_.clear();
-  const std::uint64_t n = r.U64();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint64_t key = r.U64();
-    Context ctx;
-    ctx.root = r.U64();
-    ctx.tag = r.U16();
-    ctx.frames = r.U64();
-    ctx.last_use = r.U64();
-    contexts_[key] = ctx;
-  }
-  active_key_ = r.U64();
-  has_active_ = r.Bool();
-  use_clock_ = r.U64();
-  frames_held_ = r.U64();
-  return r.status();
-}
+Status Vtlb::SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+Status Vtlb::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::hv

@@ -157,6 +157,8 @@ class Vtlb {
   void FreeBelowRoot(Context& ctx);   // Tree minus root; root zeroed.
   void FreeTree(Context& ctx);        // Whole tree, including the root.
   void EnforceFrameBudget();
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(Vtlb): env_, policy_, contexts_, active_key_,
   //   has_active_, use_clock_, frames_held_, flushes_, switch_hits_,

@@ -227,56 +227,30 @@ void AhciController::CompleteSlot(int slot, Status status,
   UpdateIrq();
 }
 
-Status AhciController::SaveState(sim::SnapWriter& w) const {
-  w.U32(ghc_);
-  w.U32(is_);
-  w.U32(px_clb_);
-  w.U32(px_fb_);
-  w.U32(px_is_);
-  w.U32(px_ie_);
-  w.U32(px_cmd_);
-  w.U32(px_ci_);
-  w.U32(error_slots_);
-  w.U64(dma_faults_);
-  for (const Inflight& fl : inflight_) {
-    w.Bool(fl.active);
-    w.Bool(fl.write);
-    w.U64(fl.data.size());
-    w.Bytes(fl.data.data(), fl.data.size());
-    w.U32(static_cast<std::uint32_t>(fl.prdt.size()));
-    for (const auto& [dba, len] : fl.prdt) {
-      w.U64(dba);
-      w.U32(len);
-    }
+template <class Self, class Io>
+Status AhciController::Fields(Self& s, Io& io) {
+  for (auto* reg : {&s.ghc_, &s.is_, &s.px_clb_, &s.px_fb_, &s.px_is_,
+                    &s.px_ie_, &s.px_cmd_, &s.px_ci_, &s.error_slots_}) {
+    io.U32(*reg);
   }
-  return Status::kSuccess;
+  io.U64(s.dma_faults_);
+  for (auto& fl : s.inflight_) {
+    io.Bool(fl.active);
+    io.Bool(fl.write);
+    io.Blob64(fl.data);
+    io.Seq32(fl.prdt, [&io](auto& prd) {
+      io.U64(prd.first);
+      io.U32(prd.second);
+    });
+  }
+  return io.status();
 }
 
+Status AhciController::SaveState(sim::SnapWriter& w) const {
+  return Fields(*this, w);
+}
 Status AhciController::LoadState(sim::SnapReader& r) {
-  ghc_ = r.U32();
-  is_ = r.U32();
-  px_clb_ = r.U32();
-  px_fb_ = r.U32();
-  px_is_ = r.U32();
-  px_ie_ = r.U32();
-  px_cmd_ = r.U32();
-  px_ci_ = r.U32();
-  error_slots_ = r.U32();
-  dma_faults_ = r.U64();
-  for (Inflight& fl : inflight_) {
-    fl = Inflight{};
-    fl.active = r.Bool();
-    fl.write = r.Bool();
-    fl.data.resize(static_cast<std::size_t>(r.U64()));
-    r.Bytes(fl.data.data(), fl.data.size());
-    const std::uint32_t n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t dba = r.U64();
-      const std::uint32_t len = r.U32();
-      fl.prdt.emplace_back(dba, len);
-    }
-  }
-  return r.status();
+  return Fields(*this, r);
 }
 
 void AhciController::UpdateIrq() {

@@ -85,6 +85,8 @@ class AhciController : public Device {
                     std::uint64_t len);
   void FailSlot(int slot);
   void UpdateIrq();
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(AhciController): iommu_, irq_, gsi_, disk_, ghc_, is_,
   // px_clb_, px_fb_, px_is_, px_ie_, px_cmd_, px_ci_, error_slots_,

@@ -55,26 +55,18 @@ class Cpu {
   double Utilization() const { return busy_.Utilization(NowPs()); }
   void ResetUtilization() { busy_.Reset(NowPs()); }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(cycles_);
-    w.Bool(idle_);
-    Status st = busy_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    return tlb_.SaveState(w);
-  }
-  Status LoadState(sim::SnapReader& r) {
-    cycles_ = r.U64();
-    idle_ = r.Bool();
-    Status st = busy_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    return tlb_.LoadState(r);
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.U64(s.cycles_);
+    io.Bool(s.idle_);
+    io.State(s.busy_, s.tlb_);
+    return io.status();
+  }
+
   // snapshot-x-list(Cpu): id_, model_, tlb_, cycles_, busy_, idle_
   std::uint32_t id_;
   const CpuModel* model_;

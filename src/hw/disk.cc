@@ -57,9 +57,9 @@ void DiskModel::WriteContent(std::uint64_t offset, const void* data,
     const std::uint64_t sector = offset / kSectorSize;
     const std::uint64_t in_sector = offset % kSectorSize;
     const std::uint64_t chunk = std::min(bytes, kSectorSize - in_sector);
-    auto& store = sectors_[sector];
-    if (store.empty()) {
-      store.resize(kSectorSize);
+    const auto [it, fresh] = sectors_.try_emplace(sector);
+    auto& store = it->second;
+    if (fresh) {
       for (std::uint64_t i = 0; i < kSectorSize; ++i) {
         store[i] = PatternByte(sector * kSectorSize + i);
       }
@@ -143,68 +143,30 @@ void DiskModel::Fire(RequestId id) {
   }
 }
 
-Status DiskModel::SaveState(sim::SnapWriter& w) const {
-  w.U64(static_cast<std::uint64_t>(busy_until_));
-  w.U64(next_request_);
-  Status st = completed_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = media_errors_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  w.U64(sectors_.size());
-  for (const auto& [sector, bytes] : sectors_) {
-    w.U64(sector);
-    w.Bytes(bytes.data(), bytes.size());
-  }
-  w.U32(static_cast<std::uint32_t>(pending_.size()));
-  for (const auto& [id, p] : pending_) {
-    w.U64(id);
-    w.Bool(p.write);
-    w.U64(p.offset);
-    w.U64(p.bytes);
-    w.U64(p.cookie);
-    w.U64(p.payload.size());
-    w.Bytes(p.payload.data(), p.payload.size());
-  }
-  return Status::kSuccess;
+template <class Self, class Io>
+Status DiskModel::Fields(Self& s, Io& io) {
+  io.U64(s.busy_until_);
+  io.U64(s.next_request_);
+  io.State(s.completed_, s.media_errors_);
+  io.Seq64(s.sectors_, [&io](auto& kv) {
+    io.U64(kv.first);
+    io.Bytes(kv.second.data(), kv.second.size());
+  });
+  io.Seq32(s.pending_, [&io](auto& kv) {
+    io.U64(kv.first);
+    auto& p = kv.second;
+    io.Bool(p.write);
+    io.U64(p.offset);
+    io.U64(p.bytes);
+    io.U64(p.cookie);
+    io.Blob64(p.payload);
+  });
+  return io.status();
 }
 
-Status DiskModel::LoadState(sim::SnapReader& r) {
-  busy_until_ = static_cast<sim::PicoSeconds>(r.U64());
-  next_request_ = r.U64();
-  Status st = completed_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = media_errors_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  sectors_.clear();
-  const std::uint64_t n_sectors = r.U64();
-  for (std::uint64_t i = 0; i < n_sectors; ++i) {
-    const std::uint64_t sector = r.U64();
-    auto& store = sectors_[sector];
-    store.resize(kSectorSize);
-    r.Bytes(store.data(), kSectorSize);
-  }
-  pending_.clear();
-  const std::uint32_t n_pending = r.U32();
-  for (std::uint32_t i = 0; i < n_pending; ++i) {
-    const RequestId id = r.U64();
-    Pending p;
-    p.write = r.Bool();
-    p.offset = r.U64();
-    p.bytes = r.U64();
-    p.cookie = r.U64();
-    p.payload.resize(static_cast<std::size_t>(r.U64()));
-    r.Bytes(p.payload.data(), p.payload.size());
-    pending_.emplace(id, std::move(p));
-  }
-  return r.status();
+Status DiskModel::SaveState(sim::SnapWriter& w) const {
+  return Fields(*this, w);
 }
+Status DiskModel::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::hw

@@ -14,6 +14,7 @@
 #ifndef SRC_HW_DISK_H_
 #define SRC_HW_DISK_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -102,6 +103,8 @@ class DiskModel {
   Status MediaStatus();
   RequestId Enqueue(Pending p);
   void Fire(RequestId id);
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(DiskModel): events_, geometry_, name_, busy_until_,
   // sectors_, completed_, media_errors_, fault_plan_, pending_,
@@ -110,7 +113,7 @@ class DiskModel {
   DiskGeometry geometry_;
   std::string name_;
   sim::PicoSeconds busy_until_ = 0;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> sectors_;
+  std::map<std::uint64_t, std::array<std::uint8_t, kSectorSize>> sectors_;
   sim::Counter completed_;
   sim::Counter media_errors_;
   sim::FaultPlan* fault_plan_ = nullptr;

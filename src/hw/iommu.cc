@@ -153,73 +153,46 @@ Status Iommu::DmaWrite(DeviceId dev, std::uint64_t iova, const void* data,
   return Status::kSuccess;
 }
 
-Status Iommu::SaveState(sim::SnapWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(contexts_.size()));
-  for (const auto& [dev, ctx] : contexts_) {
-    const PageTable& table = *ctx.table;
-    w.U16(dev);
-    w.U64(table.root());
-    w.U8(static_cast<std::uint8_t>(table.mode()));
+template <class Self, class Io>
+Status Iommu::Fields(Self& s, Io& io) {
+  struct Ctx {
+    DeviceId dev = 0;
+    PhysAddr root = 0;
+    PagingMode mode = PagingMode::kFourLevel;
+  };
+  std::vector<Ctx> ctxs;
+  if constexpr (!Io::kLoading) {
+    for (const auto& [dev, ctx] : s.contexts_) {
+      ctxs.push_back({dev, ctx.table->root(), ctx.table->mode()});
+    }
   }
-  w.U32(static_cast<std::uint32_t>(allowed_gsis_.size()));
-  for (const auto& [dev, mask] : allowed_gsis_) {
-    w.U16(dev);
-    w.U64(mask);
+  io.Seq32(ctxs, [&io](auto& c) {
+    io.U16(c.dev);
+    io.U64(c.root);
+    io.Enum(c.mode, PagingMode::kFourLevel);
+  });
+  if constexpr (Io::kLoading) {
+    s.contexts_.clear();
+    for (const Ctx& c : ctxs) s.AttachDevice(c.dev, c.root, c.mode);
   }
-  w.U32(static_cast<std::uint32_t>(protected_.size()));
-  for (const auto& [base, size] : protected_) {
-    w.U64(base);
-    w.U64(size);
-  }
-  Status st = faults_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  w.U32(static_cast<std::uint32_t>(fault_log_.size()));
-  for (const FaultRecord& f : fault_log_) {
-    w.U16(f.dev);
-    w.U64(f.iova);
-    w.Bool(f.write);
-  }
-  return Status::kSuccess;
+  io.Seq32(s.allowed_gsis_, [&io](auto& kv) {
+    io.U16(kv.first);
+    io.U64(kv.second);
+  });
+  io.Seq32(s.protected_, [&io](auto& range) {
+    io.U64(range.first);
+    io.U64(range.second);
+  });
+  io.State(s.faults_);
+  io.Seq32(s.fault_log_, [&io](auto& f) {
+    io.U16(f.dev);
+    io.U64(f.iova);
+    io.Bool(f.write);
+  });
+  return io.status();
 }
 
-Status Iommu::LoadState(sim::SnapReader& r) {
-  contexts_.clear();
-  const std::uint32_t n_ctx = r.U32();
-  for (std::uint32_t i = 0; i < n_ctx; ++i) {
-    const DeviceId dev = r.U16();
-    const PhysAddr root = r.U64();
-    const auto mode = static_cast<PagingMode>(r.U8());
-    AttachDevice(dev, root, mode);
-  }
-  allowed_gsis_.clear();
-  const std::uint32_t n_gsi = r.U32();
-  for (std::uint32_t i = 0; i < n_gsi; ++i) {
-    const DeviceId dev = r.U16();
-    allowed_gsis_[dev] = r.U64();
-  }
-  protected_.clear();
-  const std::uint32_t n_prot = r.U32();
-  for (std::uint32_t i = 0; i < n_prot; ++i) {
-    const PhysAddr base = r.U64();
-    const std::uint64_t size = r.U64();
-    protected_.emplace_back(base, size);
-  }
-  Status st = faults_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  fault_log_.clear();
-  const std::uint32_t n_log = r.U32();
-  for (std::uint32_t i = 0; i < n_log; ++i) {
-    FaultRecord f;
-    f.dev = r.U16();
-    f.iova = r.U64();
-    f.write = r.Bool();
-    fault_log_.push_back(f);
-  }
-  return r.status();
-}
+Status Iommu::SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+Status Iommu::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::hw

@@ -81,6 +81,8 @@ class Iommu {
   // Translate one page-contained chunk; returns kDenied on fault.
   Status Translate(DeviceId dev, std::uint64_t iova, bool write, PhysAddr* out);
   bool IsProtected(PhysAddr pa, std::uint64_t len) const;
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   struct Context {
     std::unique_ptr<PageTable> table;

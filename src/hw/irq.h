@@ -54,48 +54,27 @@ class IrqChip {
   // Wires the machine's tracer in; interns the chip's event names once.
   void set_tracer(sim::Tracer* t);
 
-  Status SaveState(sim::SnapWriter& w) const {
-    for (const Route& rt : routes_) {
-      w.Bool(rt.enabled);
-      w.Bool(rt.masked);
-      w.U32(rt.cpu);
-      w.U8(rt.vector);
-    }
-    for (const bool l : latched_) {
-      w.Bool(l);
-    }
-    for (const auto& cpu_bits : pending_) {
-      for (const std::uint64_t word : cpu_bits) {
-        w.U64(word);
-      }
-    }
-    for (const std::uint64_t c : assert_counts_) {
-      w.U64(c);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    for (Route& rt : routes_) {
-      rt.enabled = r.Bool();
-      rt.masked = r.Bool();
-      rt.cpu = r.U32();
-      rt.vector = r.U8();
-    }
-    for (auto& l : latched_) {
-      l = r.Bool();
-    }
-    for (auto& cpu_bits : pending_) {
-      for (auto& word : cpu_bits) {
-        word = r.U64();
-      }
-    }
-    for (auto& c : assert_counts_) {
-      c = r.U64();
-    }
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    for (auto& rt : s.routes_) {
+      io.Bool(rt.enabled);
+      io.Bool(rt.masked);
+      io.U32(rt.cpu);
+      io.Require(rt.cpu < kMaxCpus);  // Indexes pending_ on delivery.
+      io.U8(rt.vector);
+    }
+    for (auto& l : s.latched_) io.Bool(l);
+    for (auto& cpu_bits : s.pending_) {
+      for (auto& word : cpu_bits) io.U64(word);
+    }
+    for (auto& c : s.assert_counts_) io.U64(c);
+    return io.status();
+  }
+
   void Deliver(std::uint32_t gsi);
 
   // snapshot-x-list(IrqChip): tracer_, trace_assert_, trace_deliver_,

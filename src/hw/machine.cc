@@ -36,84 +36,26 @@ sim::PicoSeconds Machine::MinNowPs() const {
   return min;
 }
 
-Status Machine::SaveState(sim::Snapshot& snap) const {
-  Status st = mem_.SaveState(snap.Section("hw.mem", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = events_.SaveState(snap.Section("sim.events", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = irq_.SaveState(snap.Section("hw.irq", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = iommu_.SaveState(snap.Section("hw.iommu", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = stats_.SaveState(snap.Section("sim.stats", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = tracer_.SaveState(snap.Section("sim.trace", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  sim::SnapWriter& cw = snap.Section("hw.cpus", 1);
-  cw.U32(static_cast<std::uint32_t>(cpus_.size()));
-  for (const auto& c : cpus_) {
-    st = c->SaveState(cw);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-  return Status::kSuccess;
+template <class Self, class Snap>
+Status Machine::Sections(Self& s, Snap io) {
+  io.Section("hw.mem", 1, s.mem_);
+  io.Section("sim.events", 1, s.events_);
+  io.Section("hw.irq", 1, s.irq_);
+  io.Section("hw.iommu", 1, s.iommu_);
+  io.Section("sim.stats", 1, s.stats_);
+  io.Section("sim.trace", 1, s.tracer_);
+  io.Section("hw.cpus", 1, [&s](auto& sec) {
+    sec.Check32(s.cpus_.size());  // The twin has the same CPU topology.
+    for (auto& c : s.cpus_) sec.State(*c);
+  });
+  return io.status();
 }
 
+Status Machine::SaveState(sim::Snapshot& snap) const {
+  return Sections(*this, sim::SnapSaver(snap));
+}
 Status Machine::LoadState(const sim::Snapshot& snap) {
-  sim::SnapReader mr = snap.Open("hw.mem", 1);
-  Status st = mem_.LoadState(mr);
-  if (!Ok(st) || !Ok(st = mr.Finish())) {
-    return st;
-  }
-  sim::SnapReader er = snap.Open("sim.events", 1);
-  st = events_.LoadState(er);
-  if (!Ok(st) || !Ok(st = er.Finish())) {
-    return st;
-  }
-  sim::SnapReader ir = snap.Open("hw.irq", 1);
-  st = irq_.LoadState(ir);
-  if (!Ok(st) || !Ok(st = ir.Finish())) {
-    return st;
-  }
-  sim::SnapReader ur = snap.Open("hw.iommu", 1);
-  st = iommu_.LoadState(ur);
-  if (!Ok(st) || !Ok(st = ur.Finish())) {
-    return st;
-  }
-  sim::SnapReader sr = snap.Open("sim.stats", 1);
-  st = stats_.LoadState(sr);
-  if (!Ok(st) || !Ok(st = sr.Finish())) {
-    return st;
-  }
-  sim::SnapReader tr = snap.Open("sim.trace", 1);
-  st = tracer_.LoadState(tr);
-  if (!Ok(st) || !Ok(st = tr.Finish())) {
-    return st;
-  }
-  sim::SnapReader cr = snap.Open("hw.cpus", 1);
-  if (cr.U32() != cpus_.size()) {
-    return Status::kBadParameter;  // Twin must match the CPU topology.
-  }
-  for (auto& c : cpus_) {
-    st = c->LoadState(cr);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-  return cr.Finish();
+  return Sections(*this, sim::SnapLoader(snap));
 }
 
 bool Machine::SkipToNextEvent() {

@@ -82,6 +82,9 @@ class Machine {
   Status LoadState(const sim::Snapshot& snap);
 
  private:
+  template <class Self, class Snap>
+  static Status Sections(Self& s, Snap io);
+
   // snapshot-x-list(Machine): mem_, events_, irq_, iommu_, bus_, stats_,
   // tracer_, cpus_, devices_
   PhysMem mem_;

@@ -86,6 +86,8 @@ class Nic : public Device {
   void RaiseOrCoalesce();
   void CoalesceExpired();
   void FireIrq();
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(Nic): iommu_, irq_, gsi_, events_, ctrl_, icr_, itr_,
   // ims_, rctl_, rdbal_, rdbah_, rdlen_, rdh_, rdt_, irq_scheduled_,
@@ -145,6 +147,8 @@ class NetLink {
 
  private:
   void SendOne();
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(NetLink): events_, nic_, running_, packet_bytes_,
   // interval_, sent_, lost_, seq_, fault_plan_

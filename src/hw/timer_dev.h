@@ -47,22 +47,19 @@ class PlatformTimer : public Device {
   std::uint32_t gsi() const { return gsi_; }
   std::uint64_t ticks() const { return ticks_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(static_cast<std::uint64_t>(period_));
-    w.U64(generation_);
-    w.U64(ticks_);
-    w.U16(period_lo_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    period_ = static_cast<sim::PicoSeconds>(r.U64());
-    generation_ = r.U64();
-    ticks_ = r.U64();
-    period_lo_ = r.U16();
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.U64(s.period_);
+    io.U64(s.generation_);
+    io.U64(s.ticks_);
+    io.U16(s.period_lo_);
+    return io.status();
+  }
+
   void Tick();
   void ScheduleTick();
 

@@ -137,84 +137,47 @@ void Tlb::FlushVa(TlbTag tag, VirtAddr va) {
   }
 }
 
-Status Tlb::SaveState(sim::SnapWriter& w) const {
-  w.U32(count_4k_);
-  w.U32(count_large_);
-  w.U64(clock_);
-  Status st = hits_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
+template <class Self, class Io>
+Status Tlb::Fields(Self& s, Io& io) {
+  io.U32(s.count_4k_);
+  io.U32(s.count_large_);
+  io.U64(s.clock_);
+  io.State(s.hits_, s.misses_, s.flushes_);
+  std::vector<std::pair<Key, Slot>> entries;
+  if constexpr (!Io::kLoading) {
+    entries.reserve(s.map_.size());
+    // nova-lint: allow(determinism) -- collected then sorted before encoding
+    for (const auto& kv : s.map_) {
+      entries.push_back(kv);
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) {
+                return std::tie(a.first.tag, a.first.vpage, a.first.large) <
+                       std::tie(b.first.tag, b.first.vpage, b.first.large);
+              });
   }
-  st = misses_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = flushes_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  std::vector<const std::pair<const Key, Slot>*> order;
-  order.reserve(map_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
-  for (const auto& kv : map_) {
-    order.push_back(&kv);
-  }
-  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    return std::tie(a->first.tag, a->first.vpage, a->first.large) <
-           std::tie(b->first.tag, b->first.vpage, b->first.large);
+  io.Seq32(entries, [&io](auto& kv) {
+    io.U16(kv.first.tag);
+    io.U64(kv.first.vpage);
+    io.Bool(kv.first.large);
+    auto& e = kv.second.entry;
+    io.U64(e.phys_page);
+    io.U64(e.page_size);
+    io.Bool(e.writable);
+    io.Bool(e.user);
+    io.Bool(e.dirty);
+    io.Bool(e.global);
+    io.U64(kv.second.lru);
   });
-  w.U32(static_cast<std::uint32_t>(order.size()));
-  for (const auto* kv : order) {
-    w.U16(kv->first.tag);
-    w.U64(kv->first.vpage);
-    w.Bool(kv->first.large);
-    const TlbEntry& e = kv->second.entry;
-    w.U64(e.phys_page);
-    w.U64(e.page_size);
-    w.Bool(e.writable);
-    w.Bool(e.user);
-    w.Bool(e.dirty);
-    w.Bool(e.global);
-    w.U64(kv->second.lru);
+  if constexpr (Io::kLoading) {
+    s.map_.clear();
+    s.map_.insert(entries.begin(), entries.end());
   }
-  return Status::kSuccess;
+  return io.status();
 }
 
-Status Tlb::LoadState(sim::SnapReader& r) {
-  count_4k_ = r.U32();
-  count_large_ = r.U32();
-  clock_ = r.U64();
-  Status st = hits_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = misses_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = flushes_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  map_.clear();
-  const std::uint32_t n = r.U32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Key key{};
-    key.tag = r.U16();
-    key.vpage = r.U64();
-    key.large = r.Bool();
-    Slot slot{};
-    slot.entry.phys_page = r.U64();
-    slot.entry.page_size = r.U64();
-    slot.entry.writable = r.Bool();
-    slot.entry.user = r.Bool();
-    slot.entry.dirty = r.Bool();
-    slot.entry.global = r.Bool();
-    slot.lru = r.U64();
-    map_.emplace(key, slot);
-  }
-  return r.status();
-}
+Status Tlb::SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+Status Tlb::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 std::size_t Tlb::EntryCount(TlbTag tag) const {
   std::size_t n = 0;

@@ -50,24 +50,17 @@ class TlbTagAllocator {
     }
   }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U16(next_);
-    w.U32(static_cast<std::uint32_t>(free_.size()));
-    for (const TlbTag t : free_) {
-      w.U16(t);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    next_ = r.U16();
-    free_.assign(r.U32(), 0);
-    for (auto& t : free_) {
-      t = r.U16();
-    }
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.U16(s.next_);
+    io.Seq32(s.free_, [&io](auto& t) { io.U16(t); });
+    return io.status();
+  }
+
   // snapshot-x-list(TlbTagAllocator): next_, free_
   TlbTag next_;
   std::vector<TlbTag> free_;
@@ -141,6 +134,8 @@ class Tlb {
   }
 
   void EvictIfNeeded(bool large);
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(Tlb): capacity_4k_, capacity_large_, count_4k_,
   // count_large_, clock_, map_, hits_, misses_, flushes_

@@ -32,16 +32,16 @@ class Uart : public Device {
   const std::string& output() const { return output_; }
   void ClearOutput() { output_.clear(); }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.Str(output_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    output_ = r.Str();
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.Str(s.output_);
+    return io.status();
+  }
+
   // snapshot-x-list(Uart): output_
   std::string output_;
 };

@@ -102,30 +102,16 @@ class VmEngine {
 
   Cpu& cpu() { return *cpu_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    Status st = nested_tlb_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    st = insns_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    return injections_.SaveState(w);
-  }
-  Status LoadState(sim::SnapReader& r) {
-    Status st = nested_tlb_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    st = insns_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    return injections_.LoadState(r);
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.State(s.nested_tlb_, s.insns_, s.injections_);
+    return io.status();
+  }
+
   struct StepResult {
     bool exited = false;
     VmExit exit;

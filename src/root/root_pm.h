@@ -85,21 +85,18 @@ class RootPartitionManager {
 
   // The allocation cursor is the only mutable policy state; the RAM grant
   // bounds and device registry are construction-time and only verified.
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(alloc_next_page_);
-    w.U64(alloc_end_page_);
-    w.U32(static_cast<std::uint32_t>(devices_.size()));
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    alloc_next_page_ = r.U64();
-    if (r.U64() != alloc_end_page_ || r.U32() != devices_.size()) {
-      r.Fail();
-    }
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.U64(s.alloc_next_page_);
+    io.Check64(s.alloc_end_page_);
+    io.Check32(s.devices_.size());
+    return io.status();
+  }
+
   // snapshot-x-list(RootPartitionManager): hv_, pd_, alloc_next_page_,
   //   alloc_end_page_, devices_
   hv::Hypervisor* hv_;

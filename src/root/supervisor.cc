@@ -140,71 +140,41 @@ void VmmSupervisor::Recover(Watched& w) {
   }
 }
 
-Status VmmSupervisor::SaveState(sim::SnapWriter& w) const {
-  w.U64(hb_page_);
-  w.U32(static_cast<std::uint32_t>(watched_.size()));
-  for (const Watched& e : watched_) {
-    w.U64(e.hb_addr);  // Verified: derived from hb_page_ + watch order.
-    w.U64(e.vm_sel);
-    w.U64(e.vmm_sel);
-    w.U64(e.last_seen);
-    w.U32(e.stale);
-    w.Bool(e.recovered);
-    w.Bool(e.has_checkpoint);
+template <class Self, class Io>
+Status VmmSupervisor::Fields(Self& s, Io& io) {
+  io.Check64(s.hb_page_);
+  io.Check32(s.watched_.size());
+  for (auto& e : s.watched_) {
+    io.Check64(e.hb_addr);  // Derived from hb_page_ + watch order.
+    io.Check64(e.vm_sel);
+    io.Check64(e.vmm_sel);
+    io.U64(e.last_seen);
+    io.U32(e.stale);
+    io.Bool(e.recovered);
+    io.Bool(e.has_checkpoint);
     if (e.has_checkpoint) {
-      const vmm::VAhci::Regs& cr = e.ckpt_regs;
-      w.U32(cr.ghc);
-      w.U32(cr.px_clb);
-      w.U32(cr.px_ie);
-      w.U32(cr.px_cmd);
-      hv::SaveGuestState(w, e.ckpt_gstate);
-      w.I64(e.ckpt_at_ps);
+      for (auto* reg : {&e.ckpt_regs.ghc, &e.ckpt_regs.px_clb,
+                        &e.ckpt_regs.px_ie, &e.ckpt_regs.px_cmd}) {
+        io.U32(*reg);
+      }
+      hv::GuestStateFields(e.ckpt_gstate, io);
+      io.I64(e.ckpt_at_ps);
     }
   }
-  w.U64(recoveries_);
-  w.U64(checkpoints_);
-  w.U64(ticks_);
-  w.I64(last_detect_latency_ps_);
-  w.Bool(check_running_);
-  w.U64(check_event_);
-  return Status::kSuccess;
+  io.U64(s.recoveries_);
+  io.U64(s.checkpoints_);
+  io.U64(s.ticks_);
+  io.I64(s.last_detect_latency_ps_);
+  io.Bool(s.check_running_);
+  io.U64(s.check_event_);
+  return io.status();
 }
 
+Status VmmSupervisor::SaveState(sim::SnapWriter& w) const {
+  return Fields(*this, w);
+}
 Status VmmSupervisor::LoadState(sim::SnapReader& r) {
-  if (r.U64() != hb_page_) {
-    r.Fail();
-  }
-  if (r.U32() != watched_.size()) {
-    r.Fail();
-  }
-  if (!r.ok()) {
-    return Status::kBadParameter;
-  }
-  for (Watched& e : watched_) {
-    if (r.U64() != e.hb_addr || r.U64() != e.vm_sel || r.U64() != e.vmm_sel) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    e.last_seen = r.U64();
-    e.stale = r.U32();
-    e.recovered = r.Bool();
-    e.has_checkpoint = r.Bool();
-    if (e.has_checkpoint) {
-      e.ckpt_regs.ghc = r.U32();
-      e.ckpt_regs.px_clb = r.U32();
-      e.ckpt_regs.px_ie = r.U32();
-      e.ckpt_regs.px_cmd = r.U32();
-      hv::LoadGuestState(r, &e.ckpt_gstate);
-      e.ckpt_at_ps = r.I64();
-    }
-  }
-  recoveries_ = r.U64();
-  checkpoints_ = r.U64();
-  ticks_ = r.U64();
-  last_detect_latency_ps_ = r.I64();
-  check_running_ = r.Bool();
-  check_event_ = r.U64();
-  return r.ok() ? Status::kSuccess : Status::kBadParameter;
+  return Fields(*this, r);
 }
 
 }  // namespace nova::root

@@ -104,6 +104,8 @@ class VmmSupervisor {
   void CheckAll();
   void CheckpointAll();
   void Recover(Watched& w);
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(VmmSupervisor): hv_, root_, config_, hb_page_,
   //   watched_, recoveries_, checkpoints_, ticks_,

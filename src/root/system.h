@@ -46,92 +46,29 @@ class NovaSystem {
   // whose scenario construction ran the same sequence (same StartDiskServer
   // and channel-open calls); presence and wiring are verified, not rebuilt.
   Status SaveState(sim::Snapshot& snap) const {
-    if (Status s = machine.SaveState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = hv.SaveState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    struct Dev {
-      const char* section;
-      Status status;
-    };
-    const Dev devs[] = {
-        {"hw.ahci", platform.ahci->SaveState(snap.Section("hw.ahci", 1))},
-        {"hw.disk", platform.disk->SaveState(snap.Section("hw.disk", 1))},
-        {"hw.nic", platform.nic->SaveState(snap.Section("hw.nic", 1))},
-        {"hw.netlink", platform.link->SaveState(snap.Section("hw.netlink", 1))},
-        {"hw.timer", platform.timer->SaveState(snap.Section("hw.timer", 1))},
-        {"hw.uart", platform.uart->SaveState(snap.Section("hw.uart", 1))},
-        {"root.pm", root->SaveState(snap.Section("root.pm", 1))},
-    };
-    for (const Dev& d : devs) {
-      if (d.status != Status::kSuccess) {
-        return d.status;
-      }
-    }
-    sim::SnapWriter& sys = snap.Section("root.sys", 1);
-    sys.Bool(disk_server != nullptr);
-    if (disk_server != nullptr) {
-      if (Status s = disk_server->SaveState(snap.Section("svc.disk", 1));
-          s != Status::kSuccess) {
-        return s;
-      }
-    }
-    return Status::kSuccess;
+    return Sections(*this, sim::SnapSaver(snap));
+  }
+  Status LoadState(const sim::Snapshot& snap) {
+    return Sections(*this, sim::SnapLoader(snap));
   }
 
-  Status LoadState(sim::Snapshot& snap) {
-    if (Status s = machine.LoadState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = hv.LoadState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    const auto load = [&snap](const char* name, auto* obj) -> Status {
-      sim::SnapReader r = snap.Open(name, 1);
-      if (Status s = obj->LoadState(r); s != Status::kSuccess) {
-        return s;
-      }
-      return r.Finish();
-    };
-    if (Status s = load("hw.ahci", platform.ahci); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.disk", platform.disk); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.nic", platform.nic); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.netlink", platform.link.get());
-        s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.timer", platform.timer); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.uart", platform.uart); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("root.pm", root.get()); s != Status::kSuccess) {
-      return s;
-    }
-    sim::SnapReader sys = snap.Open("root.sys", 1);
-    const bool had_server = sys.Bool();
-    if (Status s = sys.Finish(); s != Status::kSuccess) {
-      return s;
-    }
-    if (had_server != (disk_server != nullptr)) {
-      return Status::kBadParameter;  // Twin construction mismatch.
-    }
-    if (disk_server != nullptr) {
-      if (Status s = load("svc.disk", disk_server.get());
-          s != Status::kSuccess) {
-        return s;
-      }
-    }
-    return Status::kSuccess;
+  template <class Self, class Snap>
+  static Status Sections(Self& s, Snap io) {
+    io.State(s.machine, s.hv);
+    io.Section("hw.ahci", 1, *s.platform.ahci);
+    io.Section("hw.disk", 1, *s.platform.disk);
+    io.Section("hw.nic", 1, *s.platform.nic);
+    io.Section("hw.netlink", 1, *s.platform.link);
+    io.Section("hw.timer", 1, *s.platform.timer);
+    io.Section("hw.uart", 1, *s.platform.uart);
+    io.Section("root.pm", 1, *s.root);
+    io.Section("root.sys", 1, [&s](auto& sec) {
+      bool has_server = s.disk_server != nullptr;
+      sec.Bool(has_server);
+      sec.Require(has_server == (s.disk_server != nullptr));  // Same twin.
+    });
+    if (s.disk_server != nullptr) io.Section("svc.disk", 1, *s.disk_server);
+    return io.status();
   }
 
   hw::Machine machine;

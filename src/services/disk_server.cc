@@ -413,86 +413,52 @@ void DiskServer::ReissueSlot(int slot, std::uint64_t generation) {
   }
 }
 
-Status DiskServer::SaveState(sim::SnapWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(channels_.size()));
-  for (const ChannelState& ch : channels_) {
-    // Wiring selectors and the ring frame are construction products; saved
-    // so the loader can verify the twin opened the same channels.
-    w.U32(ch.completion_pt);
-    w.U32(ch.request_pt);
-    w.U64(ch.shared_page);
-    w.U32(ch.outstanding);
-    w.U32(ch.max_outstanding);
-    w.U32(ch.ring_head);
-    w.Bool(ch.open);
+template <class Self, class Io>
+Status DiskServer::Fields(Self& s, Io& io) {
+  io.Check32(s.channels_.size());  // The twin opened the same channels.
+  for (auto& ch : s.channels_) {
+    // Wiring selectors and the ring frame are construction products,
+    // verified on load.
+    io.Check32(ch.completion_pt);
+    io.Check32(ch.request_pt);
+    io.Check64(ch.shared_page);
+    io.U32(ch.outstanding);
+    io.U32(ch.max_outstanding);
+    io.U32(ch.ring_head);
+    io.Bool(ch.open);
   }
-  w.U32(static_cast<std::uint32_t>(free_channels_.size()));
-  for (const std::uint32_t id : free_channels_) {
-    w.U32(id);
+  // Channel ids index channels_.
+  io.Seq32(s.free_channels_, [&io, &s](auto& id) {
+    io.U32(id);
+    io.Require(id < s.channels_.size());
+  });
+  for (auto& slot : s.slots_) {
+    io.Bool(slot.active);
+    io.U32(slot.channel);
+    io.Require(!slot.active || slot.channel < s.channels_.size());
+    io.U64(slot.cookie);
+    io.U64(slot.buffer_page);
+    io.U32(slot.attempts);
+    io.U64(slot.generation);
+    io.U64(slot.deadline_event);
   }
-  for (const Slot& s : slots_) {
-    w.Bool(s.active);
-    w.U32(s.channel);
-    w.U64(s.cookie);
-    w.U64(s.buffer_page);
-    w.U32(s.attempts);
-    w.U64(s.generation);
-    w.U64(s.deadline_event);
-  }
-  w.U32(next_comp_sel_);
-  w.U64(issued_);
-  w.U64(completed_);
-  w.U64(throttled_);
-  w.U64(retried_);
-  w.U64(failed_);
-  w.U64(deadline_ps_);
-  w.U32(max_retries_);
-  w.U64(backoff_ps_);
-  w.U64(next_generation_);
-  w.U32(quarantine_mask_);
-  return Status::kSuccess;
+  io.U32(s.next_comp_sel_);
+  io.U64(s.issued_);
+  io.U64(s.completed_);
+  io.U64(s.throttled_);
+  io.U64(s.retried_);
+  io.U64(s.failed_);
+  io.U64(s.deadline_ps_);
+  io.U32(s.max_retries_);
+  io.U64(s.backoff_ps_);
+  io.U64(s.next_generation_);
+  io.U32(s.quarantine_mask_);
+  return io.status();
 }
 
-Status DiskServer::LoadState(sim::SnapReader& r) {
-  if (r.U32() != static_cast<std::uint32_t>(channels_.size())) {
-    r.Fail();  // Twin opened a different channel set.
-  }
-  for (ChannelState& ch : channels_) {
-    if (r.U32() != ch.completion_pt || r.U32() != ch.request_pt ||
-        r.U64() != ch.shared_page) {
-      r.Fail();
-    }
-    ch.outstanding = r.U32();
-    ch.max_outstanding = r.U32();
-    ch.ring_head = r.U32();
-    ch.open = r.Bool();
-  }
-  free_channels_.clear();
-  const std::uint32_t n_free = r.U32();
-  for (std::uint32_t i = 0; i < n_free && r.ok(); ++i) {
-    free_channels_.push_back(r.U32());
-  }
-  for (Slot& s : slots_) {
-    s.active = r.Bool();
-    s.channel = r.U32();
-    s.cookie = r.U64();
-    s.buffer_page = r.U64();
-    s.attempts = r.U32();
-    s.generation = r.U64();
-    s.deadline_event = r.U64();
-  }
-  next_comp_sel_ = r.U32();
-  issued_ = r.U64();
-  completed_ = r.U64();
-  throttled_ = r.U64();
-  retried_ = r.U64();
-  failed_ = r.U64();
-  deadline_ps_ = r.U64();
-  max_retries_ = r.U32();
-  backoff_ps_ = r.U64();
-  next_generation_ = r.U64();
-  quarantine_mask_ = r.U32();
-  return r.status();
+Status DiskServer::SaveState(sim::SnapWriter& w) const {
+  return Fields(*this, w);
 }
+Status DiskServer::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::services

@@ -123,6 +123,8 @@ class DiskServer {
   // Retire a request with a typed error completion record.
   void FailRequest(int slot, Status status);
   void NotifyClient(ChannelState& ch, std::uint64_t cookie);
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
   // Tagged-event bodies ("svc.disk", op 1 = deadline, op 2 = re-issue);
   // both are generation-guarded so stale events are inert.
   void DeadlineExpired(int slot, std::uint64_t generation);

@@ -71,71 +71,58 @@ PicoSeconds EventQueue::NextDeadline() const {
   return heap_.top().when;
 }
 
-Status EventQueue::SaveState(SnapWriter& w) const {
-  // Enumerate by draining a copy of the heap (std::function is copyable),
-  // skipping lazily-cancelled entries so the restored queue starts clean.
-  auto copy = heap_;
-  w.U64(static_cast<std::uint64_t>(now_));
-  w.U64(next_seq_);
-  w.U64(next_id_);
+template <class Self, class Io>
+Status EventQueue::Fields(Self& s, Io& io) {
+  io.U64(s.now_);
+  io.U64(s.next_seq_);
+  io.U64(s.next_id_);
   std::vector<Event> pending;
-  while (!copy.empty()) {
-    Event ev = copy.top();
-    copy.pop();
-    if (std::find(cancelled_.begin(), cancelled_.end(), ev.id) !=
-        cancelled_.end()) {
-      continue;
+  if constexpr (!Io::kLoading) {
+    // Enumerate by draining a copy of the heap (std::function is
+    // copyable), skipping lazily-cancelled entries so the restored queue
+    // starts clean.
+    auto copy = s.heap_;
+    while (!copy.empty()) {
+      Event ev = copy.top();
+      copy.pop();
+      if (std::find(s.cancelled_.begin(), s.cancelled_.end(), ev.id) !=
+          s.cancelled_.end()) {
+        continue;
+      }
+      io.Require(ev.tag.owner != 0);  // Untagged closure: not restorable.
+      pending.push_back(std::move(ev));
     }
-    if (ev.tag.owner == 0) {
-      return Status::kBadParameter;  // Untagged closure: not restorable.
+  }
+  io.Seq64(pending, [&io](auto& ev) {
+    io.U64(ev.when);
+    io.U64(ev.seq);
+    io.U64(ev.id);
+    io.U64(ev.tag.owner);
+    io.U32(ev.tag.op);
+    io.U64(ev.tag.a);
+    io.U64(ev.tag.b);
+  });
+  if constexpr (Io::kLoading) {
+    // Drop every pending event, the twin's construction-time ones too, and
+    // rebuild the saved set through the rebinder registry.
+    s.heap_ = {};
+    s.cancelled_.clear();
+    s.live_ = 0;
+    for (Event& ev : pending) {
+      auto it = s.rebinders_.find(ev.tag.owner);
+      if (it != s.rebinders_.end()) ev.cb = it->second(ev.tag);
+      if (!ev.cb) {
+        io.Latch(Status::kBadCapability);  // No rebinder for this owner.
+        break;
+      }
+      s.heap_.push(std::move(ev));
+      ++s.live_;
     }
-    pending.push_back(std::move(ev));
   }
-  w.U64(pending.size());
-  for (const Event& ev : pending) {
-    w.U64(static_cast<std::uint64_t>(ev.when));
-    w.U64(ev.seq);
-    w.U64(ev.id);
-    w.U64(ev.tag.owner);
-    w.U32(ev.tag.op);
-    w.U64(ev.tag.a);
-    w.U64(ev.tag.b);
-  }
-  return Status::kSuccess;
+  return io.status();
 }
 
-Status EventQueue::LoadState(SnapReader& r) {
-  heap_ = {};
-  cancelled_.clear();
-  live_ = 0;
-  now_ = static_cast<PicoSeconds>(r.U64());
-  next_seq_ = r.U64();
-  next_id_ = r.U64();
-  const std::uint64_t count = r.U64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Event ev;
-    ev.when = static_cast<PicoSeconds>(r.U64());
-    ev.seq = r.U64();
-    ev.id = r.U64();
-    ev.tag.owner = r.U64();
-    ev.tag.op = r.U32();
-    ev.tag.a = r.U64();
-    ev.tag.b = r.U64();
-    if (!r.ok()) {
-      return Status::kBadParameter;
-    }
-    auto it = rebinders_.find(ev.tag.owner);
-    if (it == rebinders_.end()) {
-      return Status::kBadCapability;  // No rebinder for this owner.
-    }
-    ev.cb = it->second(ev.tag);
-    if (!ev.cb) {
-      return Status::kBadCapability;
-    }
-    heap_.push(std::move(ev));
-    ++live_;
-  }
-  return r.status();
-}
+Status EventQueue::SaveState(SnapWriter& w) const { return Fields(*this, w); }
+Status EventQueue::LoadState(SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::sim

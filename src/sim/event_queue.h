@@ -121,6 +121,8 @@ class EventQueue {
   };
 
   void PopCancelled() const;
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(EventQueue): heap_, cancelled_, now_, next_seq_,
   // next_id_, live_, rebinders_

@@ -85,51 +85,25 @@ std::uint64_t FaultPlan::total_injected() const {
   return total;
 }
 
-Status FaultPlan::SaveState(SnapWriter& w) const {
-  Status st = rng_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
+template <class Self, class Io>
+Status FaultPlan::Fields(Self& s, Io& io) {
+  io.State(s.rng_);
+  io.Bool(s.armed_);
+  for (auto& n : s.injected_) io.U64(n);
+  io.Check32(s.entries_.size());  // The twin scheduled the same plan.
+  for (auto& e : s.entries_) {
+    io.U64(e.ev.at);
+    io.Enum(e.ev.kind, FaultKind::kLinkPartition);
+    io.Str(e.ev.target);
+    io.U64(e.ev.count);
+    io.F64(e.ev.rate);
+    io.U64(e.ev.window_ps);
+    io.Bool(e.active);
   }
-  w.Bool(armed_);
-  for (int i = 0; i < kNumFaultKinds; ++i) {
-    w.U64(injected_[i]);
-  }
-  w.U32(static_cast<std::uint32_t>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.U64(static_cast<std::uint64_t>(e.ev.at));
-    w.U8(static_cast<std::uint8_t>(e.ev.kind));
-    w.Str(e.ev.target);
-    w.U64(e.ev.count);
-    w.F64(e.ev.rate);
-    w.U64(static_cast<std::uint64_t>(e.ev.window_ps));
-    w.Bool(e.active);
-  }
-  return Status::kSuccess;
+  return io.status();
 }
 
-Status FaultPlan::LoadState(SnapReader& r) {
-  Status st = rng_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  armed_ = r.Bool();
-  for (int i = 0; i < kNumFaultKinds; ++i) {
-    injected_[i] = r.U64();
-  }
-  const std::uint32_t n = r.U32();
-  if (n != entries_.size()) {
-    return Status::kBadParameter;  // Twin scheduled a different plan.
-  }
-  for (Entry& e : entries_) {
-    e.ev.at = static_cast<PicoSeconds>(r.U64());
-    e.ev.kind = static_cast<FaultKind>(r.U8());
-    e.ev.target = r.Str();
-    e.ev.count = r.U64();
-    e.ev.rate = r.F64();
-    e.ev.window_ps = static_cast<PicoSeconds>(r.U64());
-    e.active = r.Bool();
-  }
-  return r.status();
-}
+Status FaultPlan::SaveState(SnapWriter& w) const { return Fields(*this, w); }
+Status FaultPlan::LoadState(SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::sim

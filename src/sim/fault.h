@@ -110,6 +110,8 @@ class FaultPlan {
     FaultEvent ev;
     bool active = false;
   };
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(FaultPlan): rng_, entries_, armed_, injected_,
   // tracer_, trace_fire_

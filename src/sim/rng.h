@@ -55,20 +55,16 @@ class Rng {
 
   // The generator is its state: saving the four words mid-stream and
   // loading them into any Rng resumes the exact sequence.
-  Status SaveState(SnapWriter& w) const {
-    for (const std::uint64_t word : state_) {
-      w.U64(word);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(SnapReader& r) {
-    for (auto& word : state_) {
-      word = r.U64();
-    }
-    return r.status();
-  }
+  Status SaveState(SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    for (auto& word : s.state_) io.U64(word);
+    return io.status();
+  }
+
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -76,8 +76,8 @@ Status Snapshot::Decode(const std::uint8_t* data, std::size_t len) {
     const std::uint16_t version = r.U16();
     const std::uint64_t size = r.U64();
     const std::uint64_t checksum = r.U64();
-    if (!r.ok()) {
-      return Status::kBadParameter;
+    if (!r.ok() || size > r.remaining()) {
+      return Status::kBadParameter;  // Never size a buffer past the input.
     }
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(size));
     r.Bytes(payload.data(), payload.size());

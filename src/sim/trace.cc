@@ -1,5 +1,6 @@
 #include "src/sim/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/sim/event_queue.h"
@@ -147,84 +148,53 @@ void Tracer::Reset() {
   digest_ = kFnvOffset;
 }
 
-namespace {
-
-void PutRecord(SnapWriter& w, const TraceRecord& r) {
-  w.U64(static_cast<std::uint64_t>(r.ts));
-  w.U64(r.arg0);
-  w.U64(r.arg1);
-  w.U16(r.name);
-  w.U8(r.cat);
-  w.U8(r.type);
-  w.U8(r.tid);
-}
-
-TraceRecord GetRecord(SnapReader& r) {
-  TraceRecord rec;
-  rec.ts = static_cast<PicoSeconds>(r.U64());
-  rec.arg0 = r.U64();
-  rec.arg1 = r.U64();
-  rec.name = r.U16();
-  rec.cat = r.U8();
-  rec.type = r.U8();
-  rec.tid = r.U8();
-  return rec;
-}
-
-}  // namespace
-
-Status Tracer::SaveState(SnapWriter& w) const {
-  w.Bool(enabled_);
-  w.U64(digest_);
-  w.U64(total_);
-  w.U64(ring_.size());
-  w.U64(head_);
-  const std::size_t valid =
-      total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
-  w.U64(valid);
-  for (std::size_t i = 0; i < valid; ++i) {
-    PutRecord(w, ring_[i]);
+template <class Self, class Io>
+Status Tracer::Fields(Self& s, Io& io) {
+  io.Bool(s.enabled_);
+  io.U64(s.digest_);
+  io.U64(s.total_);
+  io.Check64(s.ring_.size());  // The twin's ring has the same capacity.
+  io.U64(s.head_);
+  std::uint64_t valid = s.size();
+  io.U64(valid);
+  io.Require(s.head_ < s.ring_.size() && valid == s.size());
+  for (std::size_t i = 0; i < s.size() && io.ok(); ++i) {
+    auto& rec = s.ring_[i];
+    io.U64(rec.ts);
+    io.U64(rec.arg0);
+    io.U64(rec.arg1);
+    io.U16(rec.name);
+    io.U8(rec.cat);
+    io.U8(rec.type);
+    io.U8(rec.tid);
   }
-  w.U32(static_cast<std::uint32_t>(names_.size()));
-  for (const std::string& n : names_) {
-    w.Str(n);
-  }
-  return Status::kSuccess;
-}
-
-Status Tracer::LoadState(SnapReader& r) {
-  enabled_ = r.Bool();
-  digest_ = r.U64();
-  total_ = r.U64();
-  const std::uint64_t capacity = r.U64();
-  if (capacity != ring_.size()) {
-    return Status::kBadParameter;  // Twin built with a different capacity.
-  }
-  head_ = static_cast<std::size_t>(r.U64());
-  const std::uint64_t valid = r.U64();
-  for (std::uint64_t i = 0; i < valid; ++i) {
-    ring_[static_cast<std::size_t>(i)] = GetRecord(r);
-  }
-  const std::uint32_t saved_names = r.U32();
-  // The twin interned a (possibly shorter) prefix of the saved name table
-  // during construction; verify the overlap and append the rest. Names the
-  // twin interns later re-resolve to these ids via the idempotent Intern.
-  for (std::uint32_t i = 0; i < saved_names; ++i) {
-    const std::string name = r.Str();
-    if (i < names_.size()) {
-      if (names_[i] != name) {
-        return Status::kBadParameter;  // Wiring order diverged.
-      }
-    } else {
-      names_.push_back(name);
-      ids_.emplace(name, static_cast<std::uint16_t>(i));
+  if constexpr (!Io::kLoading) {
+    io.Seq32(s.names_, [&io](const std::string& n) { io.Str(n); });
+  } else {
+    std::vector<std::string> saved;
+    io.Seq32(saved, [&io](std::string& n) { io.Str(n); });
+    // The twin interned a (possibly shorter) prefix of the saved name
+    // table during construction; verify the overlap and append the rest.
+    // Names the twin interns later re-resolve to these ids via the
+    // idempotent Intern.
+    io.Require(s.names_.size() <= saved.size() && saved.size() <= 0x10000 &&
+               std::equal(s.names_.begin(), s.names_.end(), saved.begin()));
+    for (std::size_t i = 0; i < s.size() && io.ok(); ++i) {
+      const TraceRecord& rec = s.ring_[i];
+      io.Require(rec.name < saved.size() && rec.cat < kNumTraceCats &&
+                 rec.type <= static_cast<std::uint8_t>(TraceType::kInstant));
     }
+    if (!io.ok()) return io.status();
+    for (std::size_t i = s.names_.size(); i < saved.size(); ++i) {
+      s.ids_.emplace(saved[i], static_cast<std::uint16_t>(i));
+    }
+    s.names_ = std::move(saved);
   }
-  if (names_.size() > saved_names) {
-    return Status::kBadParameter;  // Twin interned names the original lacked.
-  }
-  return r.status();
+  return io.status();
 }
+
+Status Tracer::SaveState(SnapWriter& w) const { return Fields(*this, w); }
+Status Tracer::LoadState(SnapReader& r) { return Fields(*this, r); }
 
 void Tracer::WriteChromeJson(std::FILE* f) const {
   std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", f);
@@ -323,48 +293,24 @@ void TraceReport::Reset() {
   open_.clear();
 }
 
-Status TraceReport::SaveState(SnapWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [name, e] : entries_) {
-    w.U16(name);
-    w.U64(e.count);
-    w.U64(static_cast<std::uint64_t>(e.total_ps));
-  }
-  w.U32(static_cast<std::uint32_t>(open_.size()));
-  for (const auto& [tid, stack] : open_) {
-    w.U8(tid);
-    w.U32(static_cast<std::uint32_t>(stack.size()));
-    for (const OpenSpan& s : stack) {
-      w.U16(s.name);
-      w.U64(static_cast<std::uint64_t>(s.begin_ts));
-    }
-  }
-  return Status::kSuccess;
+template <class Self, class Io>
+Status TraceReport::Fields(Self& s, Io& io) {
+  io.Seq32(s.entries_, [&io](auto& kv) {
+    io.U16(kv.first);
+    io.U64(kv.second.count);
+    io.U64(kv.second.total_ps);
+  });
+  io.Seq32(s.open_, [&io](auto& kv) {
+    io.U8(kv.first);
+    io.Seq32(kv.second, [&io](auto& span) {
+      io.U16(span.name);
+      io.U64(span.begin_ts);
+    });
+  });
+  return io.status();
 }
 
-Status TraceReport::LoadState(SnapReader& r) {
-  entries_.clear();
-  open_.clear();
-  const std::uint32_t n_entries = r.U32();
-  for (std::uint32_t i = 0; i < n_entries; ++i) {
-    const std::uint16_t name = r.U16();
-    Entry& e = entries_[name];
-    e.count = r.U64();
-    e.total_ps = static_cast<PicoSeconds>(r.U64());
-  }
-  const std::uint32_t n_open = r.U32();
-  for (std::uint32_t i = 0; i < n_open; ++i) {
-    const std::uint8_t tid = r.U8();
-    const std::uint32_t depth = r.U32();
-    auto& stack = open_[tid];
-    for (std::uint32_t j = 0; j < depth; ++j) {
-      OpenSpan s{};
-      s.name = r.U16();
-      s.begin_ts = static_cast<PicoSeconds>(r.U64());
-      stack.push_back(s);
-    }
-  }
-  return r.status();
-}
+Status TraceReport::SaveState(SnapWriter& w) const { return Fields(*this, w); }
+Status TraceReport::LoadState(SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::sim

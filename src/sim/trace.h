@@ -168,6 +168,8 @@ class Tracer {
   void Emit(PicoSeconds ts, TraceType type, TraceCat cat, std::uint16_t name,
             std::uint8_t tid, std::uint64_t a0, std::uint64_t a1);
   void Fold(const TraceRecord& r);
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(Tracer): enabled_, clock_, ring_, head_, total_,
   // digest_, sink_, names_, ids_
@@ -217,6 +219,9 @@ class TraceReport {
     std::uint16_t name;
     PicoSeconds begin_ts;
   };
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
+
   // snapshot-x-list(TraceReport): entries_, open_
   std::map<std::uint16_t, Entry> entries_;
   std::map<std::uint8_t, std::vector<OpenSpan>> open_;

@@ -79,36 +79,22 @@ class VAhci : public DeviceModel {
   std::uint64_t commands_errored() const { return errored_; }
   std::uint32_t error_slots() const { return error_slots_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U32(ghc_);
-    w.U32(is_);
-    w.U32(px_clb_);
-    w.U32(px_is_);
-    w.U32(px_ie_);
-    w.U32(px_cmd_);
-    w.U32(px_ci_);
-    w.U32(error_slots_);
-    w.U64(issued_);
-    w.U64(completed_);
-    w.U64(errored_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    ghc_ = r.U32();
-    is_ = r.U32();
-    px_clb_ = r.U32();
-    px_is_ = r.U32();
-    px_ie_ = r.U32();
-    px_cmd_ = r.U32();
-    px_ci_ = r.U32();
-    error_slots_ = r.U32();
-    issued_ = r.U64();
-    completed_ = r.U64();
-    errored_ = r.U64();
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    for (auto* reg : {&s.ghc_, &s.is_, &s.px_clb_, &s.px_is_, &s.px_ie_,
+                      &s.px_cmd_, &s.px_ci_, &s.error_slots_}) {
+      io.U32(*reg);
+    }
+    io.U64(s.issued_);
+    io.U64(s.completed_);
+    io.U64(s.errored_);
+    return io.status();
+  }
+
   void IssueSlot(int slot);
   void FailSlot(int slot);
   void UpdateIrq();

@@ -647,85 +647,30 @@ void Vmm::KickVcpus() {
   }
 }
 
-Status Vmm::SaveState(sim::SnapWriter& w) const {
+template <class Self, class Io>
+Status Vmm::Fields(Self& s, Io& io) {
   // Construction-determined identity, verified on load.
-  w.U64(guest_base_page_);
-  w.U32(static_cast<std::uint32_t>(vcpus_.size()));
+  io.Check64(s.guest_base_page_);
+  io.Check32(s.vcpus_.size());
 
-  w.U64(exits_handled_);
-  w.U64(injected_);
-  w.U32(cur_vcpu_);
-  for (const bool b : in_exit_) {
-    w.Bool(b);
-  }
-  w.U32(disk_ring_tail_);
-  w.U32(static_cast<std::uint32_t>(delegated_buffer_pages_.size()));
-  for (const std::uint64_t p : delegated_buffer_pages_) {
-    w.U64(p);
-  }
-  w.Bool(crashed_);
-  w.U64(hb_count_);
-  w.Bool(hb_running_);
-  w.U64(hb_period_ps_);
-  w.U64(hb_addr_);
-  w.U64(hb_event_);
-
-  Status st = vpic_->SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vpit_->SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vuart_->SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  return vahci_->SaveState(w);
+  io.U64(s.exits_handled_);
+  io.U64(s.injected_);
+  io.U32(s.cur_vcpu_);
+  io.Require(s.cur_vcpu_ < s.handler_ecs_.size());  // Indexes handler_ecs_.
+  for (auto&& b : s.in_exit_) io.Bool(b);
+  io.U32(s.disk_ring_tail_);
+  io.Seq32(s.delegated_buffer_pages_, [&io](auto& p) { io.U64(p); });
+  io.Bool(s.crashed_);
+  io.U64(s.hb_count_);
+  io.Bool(s.hb_running_);
+  io.U64(s.hb_period_ps_);
+  io.U64(s.hb_addr_);
+  io.U64(s.hb_event_);
+  io.State(*s.vpic_, *s.vpit_, *s.vuart_, *s.vahci_);
+  return io.status();
 }
 
-Status Vmm::LoadState(sim::SnapReader& r) {
-  if (r.U64() != guest_base_page_ ||
-      r.U32() != static_cast<std::uint32_t>(vcpus_.size())) {
-    r.Fail();  // Twin was built from a different scenario.
-  }
-  exits_handled_ = r.U64();
-  injected_ = r.U64();
-  cur_vcpu_ = r.U32();
-  for (std::size_t v = 0; v < in_exit_.size(); ++v) {
-    in_exit_[v] = r.Bool();
-  }
-  disk_ring_tail_ = r.U32();
-  delegated_buffer_pages_.clear();
-  const std::uint32_t n_delegated = r.U32();
-  for (std::uint32_t i = 0; i < n_delegated && r.ok(); ++i) {
-    delegated_buffer_pages_.insert(r.U64());
-  }
-  crashed_ = r.Bool();
-  hb_count_ = r.U64();
-  hb_running_ = r.Bool();
-  hb_period_ps_ = r.U64();
-  hb_addr_ = r.U64();
-  hb_event_ = r.U64();
-
-  Status st = vpic_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vpit_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vuart_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vahci_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  return r.status();
-}
+Status Vmm::SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+Status Vmm::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::vmm

@@ -192,6 +192,8 @@ class Vmm {
   DeviceModel* RouteGpa(std::uint64_t gpa);
   DeviceModel* RoutePort(std::uint16_t port);
   hw::Cpu& cpu() { return hv_->machine().cpu(config_.first_cpu); }
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(Vmm): hv_, root_, config_, vmm_pd_, vmm_pd_sel_,
   //   root_handle_sel_, vm_sel_in_root_, vm_pd_, vm_pd_sel_,

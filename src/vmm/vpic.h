@@ -50,24 +50,19 @@ class VPic : public DeviceModel {
   std::uint64_t raised() const { return raised_; }
   std::uint64_t injected() const { return injected_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(pending_);
-    w.U64(in_service_);
-    w.U64(masked_);
-    w.U64(raised_);
-    w.U64(injected_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    pending_ = r.U64();
-    in_service_ = r.U64();
-    masked_ = r.U64();
-    raised_ = r.U64();
-    injected_ = r.U64();
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    for (auto* word : {&s.pending_, &s.in_service_, &s.masked_, &s.raised_,
+                       &s.injected_}) {
+      io.U64(*word);
+    }
+    return io.status();
+  }
+
   // snapshot-x-list(VPic): pending_, in_service_, masked_, kick_,
   //   raised_, injected_
   std::uint64_t pending_ = 0;

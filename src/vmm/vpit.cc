@@ -72,20 +72,16 @@ void VPit::Tick() {
   Arm();
 }
 
-Status VPit::SaveState(sim::SnapWriter& w) const {
-  w.U64(period_);
-  w.U16(period_lo_);
-  w.U64(generation_);
-  w.U64(ticks_);
-  return Status::kSuccess;
+template <class Self, class Io>
+Status VPit::Fields(Self& s, Io& io) {
+  io.U64(s.period_);
+  io.U16(s.period_lo_);
+  io.U64(s.generation_);
+  io.U64(s.ticks_);
+  return io.status();
 }
 
-Status VPit::LoadState(sim::SnapReader& r) {
-  period_ = r.U64();
-  period_lo_ = r.U16();
-  generation_ = r.U64();
-  ticks_ = r.U64();
-  return r.status();
-}
+Status VPit::SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+Status VPit::LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
 }  // namespace nova::vmm

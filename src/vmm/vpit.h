@@ -47,6 +47,8 @@ class VPit : public DeviceModel {
  private:
   void Arm();
   void Tick();
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(VPit): events_, vpic_, owner_, period_, period_lo_,
   //   generation_, ticks_

@@ -38,16 +38,16 @@ class VUart : public DeviceModel {
   const std::string& output() const { return output_; }
   void ClearOutput() { output_.clear(); }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.Str(output_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    output_ = r.Str();
-    return r.status();
-  }
+  Status SaveState(sim::SnapWriter& w) const { return Fields(*this, w); }
+  Status LoadState(sim::SnapReader& r) { return Fields(*this, r); }
 
  private:
+  template <class Self, class Io>
+  static Status Fields(Self& s, Io& io) {
+    io.Str(s.output_);
+    return io.status();
+  }
+
   // snapshot-x-list(VUart): output_
   std::string output_;
 };

@@ -109,6 +109,19 @@ TEST(Snapshot, CorruptionDetectedOnDecode) {
   EXPECT_NE(decoded.Decode(bytes), Status::kSuccess);
 }
 
+TEST(Snapshot, SectionLongerThanInputRejectedBeforeAllocating) {
+  SnapWriter w;
+  w.Bytes(Snapshot::kMagic, sizeof Snapshot::kMagic);
+  w.U32(Snapshot::kFileVersion);
+  w.U32(1);
+  w.Str("dev");
+  w.U16(1);
+  w.U64(1ull << 62);  // Payload size: 4 EiB, none of it present.
+  w.U64(0);
+  Snapshot decoded;
+  EXPECT_EQ(decoded.Decode(w.data()), Status::kBadParameter);
+}
+
 TEST(Snapshot, BadMagicRejected) {
   Snapshot snap;
   snap.Section("dev", 1).U64(1);
