@@ -63,7 +63,21 @@ Hypervisor::HotTraceIds::HotTraceIds(sim::Tracer& t)
 }
 
 Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
-    : machine_(machine), costs_(costs) {
+    : machine_(machine),
+      costs_(costs),
+      // The oids resolve against the creation-order registry: the live
+      // objects when SmDown schedules, the twin's on restore. The closure
+      // holds shared refs, so both objects outlive the event.
+      sm_owner_(machine->events().RegisterOwner(
+          "hv.kernel",
+          [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
+            auto ec = RefAs<Ec>(ObjectByOid(tag.a), ObjType::kEc);
+            auto sm = RefAs<Sm>(ObjectByOid(tag.b), ObjType::kSm);
+            if (tag.op != 1 || ec == nullptr || sm == nullptr) {
+              return nullptr;
+            }
+            return [this, ec, sm] { SmDeadlineExpired(ec, sm); };
+          })) {
   host_paging_mode_ = machine_->cpu(0).model().host_paging;
   for (std::uint32_t i = 0; i < machine_->num_cpus(); ++i) {
     engines_.push_back(std::make_unique<hw::VmEngine>(
@@ -71,19 +85,6 @@ Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
   }
   // nova-lint: allow(per-cpu-state) — boot-time sizing, no core yet.
   cpu_states_.resize(machine_->num_cpus());
-  // Restore support: rebuild SmDown deadline callbacks from (ec oid,
-  // sm oid). Registered here so the rebinder exists before any LoadState;
-  // the oids resolve against the twin's creation-order registry.
-  machine_->events().RegisterRebinder(
-      sim::EventQueue::OwnerToken("hv.kernel"),
-      [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
-        auto ec = RefAs<Ec>(ObjectByOid(tag.a), ObjType::kEc);
-        auto sm = RefAs<Sm>(ObjectByOid(tag.b), ObjType::kSm);
-        if (tag.op != 1 || ec == nullptr || sm == nullptr) {
-          return nullptr;
-        }
-        return [this, ec, sm] { SmDeadlineExpired(ec, sm); };
-      });
 }
 
 void Hypervisor::RegisterObject(const ObjRef& obj) {
@@ -780,17 +781,11 @@ Hypervisor::DownResult Hypervisor::SmDown(Ec* caller_ec, CapSel sm_sel,
   auto ec_ref = caller_ec->sc()->ec_ref();
   sm->waiters().push_back(ec_ref);
   if (deadline_ps != 0) {
-    // The deadline event holds shared refs, so both objects outlive it; the
-    // guard re-checks the wait is still the same one before expiring it.
-    auto sm_ref = RefAs<Sm>(caller_ec->pd().caps().LookupRef(sm_sel), ObjType::kSm);
-    if (sm_ref != nullptr) {  // Same selector as above: always resolves.
-      const sim::EventTag tag{sim::EventQueue::OwnerToken("hv.kernel"), 1,
-                              ec_ref->oid(), sm_ref->oid()};
-      const auto id = machine_->events().ScheduleAtTagged(
-          deadline_ps, tag,
-          [this, ec_ref, sm_ref] { SmDeadlineExpired(ec_ref, sm_ref); });
-      caller_ec->set_timeout_event(id);
-    }
+    // The guard in SmDeadlineExpired re-checks the wait is still the same
+    // one before expiring it.
+    const auto id = machine_->events().ScheduleAtTagged(
+        deadline_ps, sm_owner_, /*op=*/1, ec_ref->oid(), sm->oid());
+    caller_ec->set_timeout_event(id);
   }
   return DownResult::kBlocked;
 }

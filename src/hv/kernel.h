@@ -283,7 +283,7 @@ class Hypervisor : public KmemPool {
   // IPC internals.
   Status DoCall(Ec* caller_ec, Pt* portal);
   void TransferWords(Utcb& from, Utcb& to, std::uint32_t cpu_id);
-  Status ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg, std::uint32_t cpu_id);
+  Status ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg);
 
   // VM-exit plumbing (vcpu.cc).
   void RunVcpu(Sc* sc, sim::Cycles budget);
@@ -308,8 +308,7 @@ class Hypervisor : public KmemPool {
   void WakeSmWaiter(Ec* ec, Status status);
 
   // An SmDown deadline fired: remove the waiter and wake it with kTimeout.
-  // Factored out of the lambda so the event-queue rebinder ("hv.kernel"
-  // owner, op 1) can rebuild the callback from (ec oid, sm oid) at restore.
+  // The body of the tagged "hv.kernel" op 1 event (see sm_owner_).
   void SmDeadlineExpired(std::shared_ptr<Ec> ec_ref, std::shared_ptr<Sm> sm_ref);
 
   // Assign the next creation-order oid to a freshly created object. The
@@ -414,7 +413,7 @@ class Hypervisor : public KmemPool {
   //   root_pd_, engines_, cpu_states_, gsi_sms_, gsi_direct_, tlb_tags_,
   //   vtlb_policy_, vcpus_, ecs_, sms_, host_paging_mode_,
   //   boot_cpu_for_step_, objects_, dirty_log_, sched_lock_, mdb_lock_,
-  //   xcall_lock_
+  //   xcall_lock_, sm_owner_
   hw::Machine* machine_;
   HvCosts costs_;
   sim::StatRegistry stats_;
@@ -461,6 +460,9 @@ class Hypervisor : public KmemPool {
   KernelLock sched_lock_;  // Cross-core wakeups touch remote run queues.
   KernelLock mdb_lock_;    // Mapping-database delegate/revoke walks.
   KernelLock xcall_lock_;  // Cross-core IPC request slots.
+
+  // Tagged "hv.kernel" op 1: the SmDown deadline of Ec oid a on Sm oid b.
+  sim::EventOwner sm_owner_;
 };
 
 }  // namespace nova::hv

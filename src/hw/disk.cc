@@ -10,14 +10,12 @@ namespace {
 constexpr std::uint32_t kOpComplete = 1;
 }  // namespace
 
-DiskModel::DiskModel(sim::EventQueue* events, DiskGeometry geometry,
-                     std::string name)
-    : events_(events), geometry_(geometry), name_(std::move(name)) {
-  events_->RegisterRebinder(
-      sim::EventQueue::OwnerToken(name_), [this](const sim::EventTag& tag) {
+DiskModel::DiskModel(sim::EventQueue* events, DiskGeometry geometry)
+    : events_(events),
+      geometry_(geometry),
+      owner_(events->RegisterOwner("hw.disk", [this](const sim::EventTag& tag) {
         return [this, id = tag.a] { Fire(id); };
-      });
-}
+      })) {}
 
 sim::PicoSeconds DiskModel::ServiceTime(std::uint64_t bytes) const {
   const sim::PicoSeconds media =
@@ -85,10 +83,7 @@ DiskModel::RequestId DiskModel::Enqueue(Pending p) {
   const sim::PicoSeconds start = std::max(busy_until_, events_->now());
   busy_until_ = start + ServiceTime(p.bytes);
   pending_.emplace(id, std::move(p));
-  events_->ScheduleAtTagged(
-      busy_until_,
-      sim::EventTag{sim::EventQueue::OwnerToken(name_), kOpComplete, id, 0},
-      [this, id] { Fire(id); });
+  events_->ScheduleAtTagged(busy_until_, owner_, kOpComplete, id);
   return id;
 }
 

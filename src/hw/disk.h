@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -51,10 +50,7 @@ class DiskModel {
       std::function<void(RequestId id, std::uint64_t cookie, Status status,
                          const std::uint8_t* data, std::uint64_t len)>;
 
-  // `name` keys the completion events' rebinder registration; give each
-  // disk on a queue a unique name.
-  DiskModel(sim::EventQueue* events, DiskGeometry geometry,
-            std::string name = "hw.disk");
+  DiskModel(sim::EventQueue* events, DiskGeometry geometry);
 
   // The owning controller registers exactly one handler (and registers it
   // again, identically, when constructed as a restore twin).
@@ -85,7 +81,7 @@ class DiskModel {
 
   // Serialize service-clock, written content, counters and the pending
   // request table. The completion events themselves live in the event
-  // queue's snapshot; this model's rebinder rebuilds their closures.
+  // queue's snapshot; this model's event factory rebuilds their closures.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
 
@@ -106,12 +102,12 @@ class DiskModel {
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
 
-  // snapshot-x-list(DiskModel): events_, geometry_, name_, busy_until_,
+  // snapshot-x-list(DiskModel): events_, geometry_, owner_, busy_until_,
   // sectors_, completed_, media_errors_, fault_plan_, pending_,
   // next_request_, handler_
   sim::EventQueue* events_;
   DiskGeometry geometry_;
-  std::string name_;
+  sim::EventOwner owner_;  // Op 1: completion of request a.
   sim::PicoSeconds busy_until_ = 0;
   std::map<std::uint64_t, std::array<std::uint8_t, kSectorSize>> sectors_;
   sim::Counter completed_;

@@ -11,11 +11,14 @@ constexpr std::uint32_t kOpSend = 1;
 
 Nic::Nic(DeviceId id, Iommu* iommu, IrqChip* irq, std::uint32_t gsi,
          sim::EventQueue* events)
-    : Device(id, "nic"), iommu_(iommu), irq_(irq), gsi_(gsi), events_(events) {
-  events_->RegisterRebinder(
-      sim::EventQueue::OwnerToken("hw.nic"),
-      [this](const sim::EventTag&) { return [this] { CoalesceExpired(); }; });
-}
+    : Device(id, "nic"),
+      iommu_(iommu),
+      irq_(irq),
+      gsi_(gsi),
+      events_(events),
+      owner_(events->RegisterOwner("hw.nic", [this](const sim::EventTag&) {
+        return [this] { CoalesceExpired(); };
+      })) {}
 
 void Nic::set_tracer(sim::Tracer* t) {
   tracer_ = t;
@@ -125,10 +128,7 @@ void Nic::RaiseOrCoalesce() {
   }
   if (!irq_scheduled_) {
     irq_scheduled_ = true;
-    events_->ScheduleAtTagged(
-        last_irq_ + interval,
-        sim::EventTag{sim::EventQueue::OwnerToken("hw.nic"), kOpCoalesce},
-        [this] { CoalesceExpired(); });
+    events_->ScheduleAtTagged(last_irq_ + interval, owner_, kOpCoalesce);
   }
 }
 
@@ -163,11 +163,11 @@ void Nic::FireIrq() {
 }
 
 NetLink::NetLink(sim::EventQueue* events, Nic* nic)
-    : events_(events), nic_(nic) {
-  events_->RegisterRebinder(
-      sim::EventQueue::OwnerToken("hw.netlink"),
-      [this](const sim::EventTag&) { return [this] { SendOne(); }; });
-}
+    : events_(events),
+      owner_(events->RegisterOwner("hw.netlink", [this](const sim::EventTag&) {
+        return [this] { SendOne(); };
+      })),
+      nic_(nic) {}
 
 void NetLink::StartStream(double mbit_per_s, std::uint32_t packet_bytes) {
   running_ = true;
@@ -175,9 +175,7 @@ void NetLink::StartStream(double mbit_per_s, std::uint32_t packet_bytes) {
   const double bits_per_packet = packet_bytes * 8.0;
   const double packets_per_second = mbit_per_s * 1e6 / bits_per_packet;
   interval_ = static_cast<sim::PicoSeconds>(1e12 / packets_per_second);
-  events_->ScheduleAfterTagged(
-      interval_, sim::EventTag{sim::EventQueue::OwnerToken("hw.netlink"), kOpSend},
-      [this] { SendOne(); });
+  events_->ScheduleAfterTagged(interval_, owner_, kOpSend);
 }
 
 void NetLink::Stop() { running_ = false; }
@@ -212,9 +210,7 @@ void NetLink::SendOne() {
     nic_->Receive(frame.data(), packet_bytes_);
     sent_.Add();
   }
-  events_->ScheduleAfterTagged(
-      interval_, sim::EventTag{sim::EventQueue::OwnerToken("hw.netlink"), kOpSend},
-      [this] { SendOne(); });
+  events_->ScheduleAfterTagged(interval_, owner_, kOpSend);
 }
 
 template <class Self, class Io>

@@ -89,14 +89,15 @@ class Nic : public Device {
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
 
-  // snapshot-x-list(Nic): iommu_, irq_, gsi_, events_, ctrl_, icr_, itr_,
-  // ims_, rctl_, rdbal_, rdbah_, rdlen_, rdh_, rdt_, irq_scheduled_,
+  // snapshot-x-list(Nic): iommu_, irq_, gsi_, events_, owner_, ctrl_, icr_,
+  // itr_, ims_, rctl_, rdbal_, rdbah_, rdlen_, rdh_, rdt_, irq_scheduled_,
   // last_irq_, rx_packets_, rx_dropped_, rx_corrupted_, irqs_,
   // fault_plan_, tracer_, trace_rx_
   Iommu* iommu_;
   IrqChip* irq_;
   std::uint32_t gsi_;
   sim::EventQueue* events_;
+  sim::EventOwner owner_;  // Op 1: the coalesced interrupt comes due.
 
   std::uint32_t ctrl_ = 0;
   std::uint32_t icr_ = 0;
@@ -150,9 +151,10 @@ class NetLink {
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
 
-  // snapshot-x-list(NetLink): events_, nic_, running_, packet_bytes_,
-  // interval_, sent_, lost_, seq_, fault_plan_
+  // snapshot-x-list(NetLink): events_, owner_, nic_, running_,
+  // packet_bytes_, interval_, sent_, lost_, seq_, fault_plan_
   sim::EventQueue* events_;
+  sim::EventOwner owner_;  // Op 1: send the next frame.
   Nic* nic_;
   bool running_ = false;
   std::uint32_t packet_bytes_ = 0;

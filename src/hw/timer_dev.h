@@ -22,17 +22,17 @@ class PlatformTimer : public Device {
  public:
   PlatformTimer(DeviceId id, IrqChip* irq, std::uint32_t gsi,
                 sim::EventQueue* events)
-      : Device(id, "timer"), irq_(irq), gsi_(gsi), events_(events) {
-    events_->RegisterRebinder(
-        sim::EventQueue::OwnerToken("hw.timer"),
-        [this](const sim::EventTag& tag) {
+      : Device(id, "timer"),
+        irq_(irq),
+        gsi_(gsi),
+        events_(events),
+        owner_(events->RegisterOwner("hw.timer", [this](const sim::EventTag& tag) {
           return [this, gen = tag.a] {
             if (gen == generation_) {
               Tick();
             }
           };
-        });
-  }
+        })) {}
 
   std::uint64_t MmioRead(std::uint64_t, unsigned) override { return 0; }
   void MmioWrite(std::uint64_t, unsigned, std::uint64_t) override {}
@@ -63,11 +63,12 @@ class PlatformTimer : public Device {
   void Tick();
   void ScheduleTick();
 
-  // snapshot-x-list(PlatformTimer): irq_, gsi_, events_, period_,
+  // snapshot-x-list(PlatformTimer): irq_, gsi_, events_, owner_, period_,
   // generation_, ticks_, period_lo_
   IrqChip* irq_;
   std::uint32_t gsi_;
   sim::EventQueue* events_;
+  sim::EventOwner owner_;  // Tagged "hw.timer" op 1: tick of generation a.
   sim::PicoSeconds period_ = 0;
   std::uint64_t generation_ = 0;  // Invalidates stale scheduled ticks.
   std::uint64_t ticks_ = 0;

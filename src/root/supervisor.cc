@@ -10,16 +10,17 @@ constexpr std::uint32_t kOpCheckTick = 1;
 
 VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
                              Config config)
-    : hv_(hv), root_(root), config_(config) {
-  hv_->machine().events().RegisterRebinder(
-      sim::EventQueue::OwnerToken("root.supervisor"),
-      [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
-        if (tag.op != kOpCheckTick) {
-          return nullptr;
-        }
-        return [this] { CheckTick(); };
-      });
-}
+    : hv_(hv),
+      root_(root),
+      config_(config),
+      owner_(hv->machine().events().RegisterOwner(
+          "root.supervisor",
+          [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
+            if (tag.op != kOpCheckTick) {
+              return nullptr;
+            }
+            return [this] { CheckTick(); };
+          })) {}
 
 VmmSupervisor::~VmmSupervisor() {
   if (check_event_ != 0) {
@@ -46,10 +47,7 @@ void VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
   if (!check_running_) {
     check_running_ = true;
     check_event_ = hv_->machine().events().ScheduleAfterTagged(
-        config_.check_period_ps,
-        sim::EventTag{sim::EventQueue::OwnerToken("root.supervisor"),
-                      kOpCheckTick},
-        [this] { CheckTick(); });
+        config_.check_period_ps, owner_, kOpCheckTick);
   }
 }
 
@@ -61,10 +59,7 @@ void VmmSupervisor::CheckTick() {
   }
   CheckAll();
   check_event_ = hv_->machine().events().ScheduleAfterTagged(
-      config_.check_period_ps,
-      sim::EventTag{sim::EventQueue::OwnerToken("root.supervisor"),
-                    kOpCheckTick},
-      [this] { CheckTick(); });
+      config_.check_period_ps, owner_, kOpCheckTick);
 }
 
 void VmmSupervisor::CheckAll() {

@@ -100,19 +100,20 @@ class VmmSupervisor {
     sim::PicoSeconds ckpt_at_ps = 0;
   };
 
-  void CheckTick();  // Tagged "root.supervisor" op 1.
+  void CheckTick();
   void CheckAll();
   void CheckpointAll();
   void Recover(Watched& w);
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
 
-  // snapshot-x-list(VmmSupervisor): hv_, root_, config_, hb_page_,
+  // snapshot-x-list(VmmSupervisor): hv_, root_, config_, owner_, hb_page_,
   //   watched_, recoveries_, checkpoints_, ticks_,
   //   last_detect_latency_ps_, check_running_, check_event_
   hv::Hypervisor* hv_;
   RootPartitionManager* root_;
   Config config_;
+  sim::EventOwner owner_;  // "root.supervisor" op 1: CheckTick.
   std::uint64_t hb_page_ = 0;  // Root-owned page holding heartbeat words.
   std::vector<Watched> watched_;
   std::uint64_t recoveries_ = 0;

@@ -9,31 +9,31 @@ namespace nova::services {
 using root::kAhciMmioBase;
 
 namespace {
-constexpr std::uint64_t kDiskServerOwner =
-    sim::EventQueue::OwnerToken("svc.disk");
 constexpr std::uint32_t kOpDeadline = 1;
 constexpr std::uint32_t kOpReissue = 2;
 }  // namespace
 
 DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
                        std::uint32_t cpu, std::uint8_t irq_prio)
-    : hv_(hv), root_(root), cpu_(cpu) {
-  hv_->machine().events().RegisterRebinder(
-      kDiskServerOwner,
-      [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
-        const int slot = static_cast<int>(tag.a);
-        const std::uint64_t gen = tag.b;
-        if (slot < 0 || slot >= hw::ahci::kNumSlots) {
-          return nullptr;
-        }
-        if (tag.op == kOpDeadline) {
-          return [this, slot, gen] { DeadlineExpired(slot, gen); };
-        }
-        if (tag.op == kOpReissue) {
-          return [this, slot, gen] { ReissueSlot(slot, gen); };
-        }
-        return nullptr;
-      });
+    : hv_(hv),
+      root_(root),
+      cpu_(cpu),
+      owner_(hv->machine().events().RegisterOwner(
+          "svc.disk",
+          [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
+            const int slot = static_cast<int>(tag.a);
+            const std::uint64_t gen = tag.b;
+            if (slot < 0 || slot >= hw::ahci::kNumSlots) {
+              return nullptr;
+            }
+            if (tag.op == kOpDeadline) {
+              return [this, slot, gen] { DeadlineExpired(slot, gen); };
+            }
+            if (tag.op == kOpReissue) {
+              return [this, slot, gen] { ReissueSlot(slot, gen); };
+            }
+            return nullptr;
+          })) {
   pd_sel_ = root->CreatePd("disk-server", /*is_vm=*/false, &pd_);
   (void)root->AssignDevice(pd_sel_, "ahci");
   (void)root->BindInterrupt(pd_sel_, "ahci", kSmSel, cpu);
@@ -271,12 +271,9 @@ void DiskServer::HandleRequest(std::uint32_t channel_id) {
   ++ch.outstanding;
   ++issued_;
   if (deadline_ps_ != 0) {
-    const std::uint64_t gen = slots_[slot].generation;
     slots_[slot].deadline_event = hv_->machine().events().ScheduleAfterTagged(
-        deadline_ps_,
-        sim::EventTag{kDiskServerOwner, kOpDeadline,
-                      static_cast<std::uint64_t>(slot), gen},
-        [this, slot, gen] { DeadlineExpired(slot, gen); });
+        deadline_ps_, owner_, kOpDeadline, static_cast<std::uint64_t>(slot),
+        slots_[slot].generation);
   }
   (void)MmioWrite(hw::ahci::kPxCi, 1u << slot);
   reply(Status::kSuccess, static_cast<std::uint64_t>(slot));
@@ -322,12 +319,9 @@ void DiskServer::HandleErrorSlots(std::uint32_t err_mask) {
       // Exponential backoff, then re-issue: the command structures are
       // still in place, so re-writing the issue bit replays the command.
       const sim::PicoSeconds delay = backoff_ps_ << (slot.attempts - 1);
-      const std::uint64_t gen = slot.generation;
       hv_->machine().events().ScheduleAfterTagged(
-          delay,
-          sim::EventTag{kDiskServerOwner, kOpReissue,
-                        static_cast<std::uint64_t>(s), gen},
-          [this, s, gen] { ReissueSlot(s, gen); });
+          delay, owner_, kOpReissue, static_cast<std::uint64_t>(s),
+          slot.generation);
     } else {
       FailRequest(s, Status::kBadDevice);
     }

@@ -125,22 +125,24 @@ class DiskServer {
   void NotifyClient(ChannelState& ch, std::uint64_t cookie);
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
-  // Tagged-event bodies ("svc.disk", op 1 = deadline, op 2 = re-issue);
-  // both are generation-guarded so stale events are inert.
+  // Tagged-event bodies; both are generation-guarded so stale events are
+  // inert.
   void DeadlineExpired(int slot, std::uint64_t generation);
   void ReissueSlot(int slot, std::uint64_t generation);
 
   std::uint64_t MmioRead(std::uint64_t offset);
   void MmioWrite(std::uint64_t offset, std::uint64_t value);
 
-  // snapshot-x-list(DiskServer): hv_, root_, cpu_, pd_, pd_sel_, irq_ec_,
-  //   req_ec_, req_ec_cap_sel_, clb_page_, ctba_page_, channels_,
+  // snapshot-x-list(DiskServer): hv_, root_, cpu_, owner_, pd_, pd_sel_,
+  //   irq_ec_, req_ec_, req_ec_cap_sel_, clb_page_, ctba_page_, channels_,
   //   free_channels_, slots_, next_comp_sel_, issued_, completed_,
   //   throttled_, retried_, failed_, deadline_ps_, max_retries_,
   //   backoff_ps_, next_generation_, quarantine_mask_
   hv::Hypervisor* hv_;
   root::RootPartitionManager* root_;
   std::uint32_t cpu_;
+  // "svc.disk": op 1 = deadline, op 2 = re-issue, of slot a at generation b.
+  sim::EventOwner owner_;
   hv::Pd* pd_ = nullptr;
   hv::CapSel pd_sel_ = hv::kInvalidSel;
   hv::Ec* irq_ec_ = nullptr;

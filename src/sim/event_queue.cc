@@ -1,11 +1,41 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace nova::sim {
 
+EventOwner EventQueue::RegisterOwner(std::string_view name, Factory factory) {
+  const std::uint64_t token = OwnerToken(name);
+  auto shared = std::make_shared<const Factory>(std::move(factory));
+  owners_[token] = shared;
+  return EventOwner(token, std::move(shared));
+}
+
 EventQueue::EventId EventQueue::ScheduleAtTagged(PicoSeconds when,
-                                                 EventTag tag, Callback cb) {
+                                                 const EventOwner& owner,
+                                                 std::uint32_t op,
+                                                 std::uint64_t a,
+                                                 std::uint64_t b) {
+  const EventTag tag{owner.token_, op, a, b};
+  Callback cb = (*owner.factory_)(tag);
+  if (!cb) {
+    // The owner rejected its own live tag: a bug at this call site. Stop
+    // here rather than queue an empty closure that fails when it fires.
+    std::fprintf(stderr,
+                 "EventQueue: owner %016llx rejected op %u (a=%llu b=%llu) "
+                 "at schedule time\n",
+                 static_cast<unsigned long long>(tag.owner), op,
+                 static_cast<unsigned long long>(a),
+                 static_cast<unsigned long long>(b));
+    std::abort();
+  }
+  return Push(when, tag, std::move(cb));
+}
+
+EventQueue::EventId EventQueue::Push(PicoSeconds when, const EventTag& tag,
+                                     Callback cb) {
   const EventId id = next_id_++;
   heap_.push(Event{when, next_seq_++, id, tag, std::move(cb)});
   ++live_;
@@ -104,15 +134,15 @@ Status EventQueue::Fields(Self& s, Io& io) {
   });
   if constexpr (Io::kLoading) {
     // Drop every pending event, the twin's construction-time ones too, and
-    // rebuild the saved set through the rebinder registry.
+    // rebuild the saved set through the owners' factories.
     s.heap_ = {};
     s.cancelled_.clear();
     s.live_ = 0;
     for (Event& ev : pending) {
-      auto it = s.rebinders_.find(ev.tag.owner);
-      if (it != s.rebinders_.end()) ev.cb = it->second(ev.tag);
+      auto it = s.owners_.find(ev.tag.owner);
+      if (it != s.owners_.end()) ev.cb = (*it->second)(ev.tag);
       if (!ev.cb) {
-        io.Latch(Status::kBadCapability);  // No rebinder for this owner.
+        io.Latch(Status::kBadCapability);  // Unknown owner or rejected tag.
         break;
       }
       s.heap_.push(std::move(ev));

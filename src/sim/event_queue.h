@@ -6,18 +6,23 @@
 // FIFO ordering among events scheduled for the same instant.
 //
 // Snapshot support: callbacks are closures and cannot be serialized, so
-// every event that may be pending at a snapshot point carries an
-// `EventTag` — a stable (owner, op, a, b) description of what the closure
-// does. Saving writes the exact (when, seq, id, tag) of each pending
-// event; restoring looks the owner token up in the rebinder registry
-// (populated during twin construction) and asks it to rebuild an
-// equivalent closure from the tag. Seq and id are restored verbatim so
-// FIFO ties and future Cancel() ids behave identically post-restore.
+// every event that may be pending at a snapshot point is *tagged*: it
+// carries an `EventTag` — a stable (owner, op, a, b) description — and
+// its closure is built from that tag by the owner's factory, the one
+// place the event's body is written. A component registers the factory
+// once (RegisterOwner) and gets back an `EventOwner` handle; a tagged
+// event can only be scheduled through such a handle, and scheduling calls
+// the factory to bind the closure. Saving writes the exact (when, seq,
+// id, tag) of each pending event; restoring looks the owner token up in
+// the registry (populated during twin construction) and calls the same
+// factory. Seq and id are restored verbatim so FIFO ties and future
+// Cancel() ids behave identically post-restore.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <string_view>
 #include <unordered_map>
@@ -42,12 +47,16 @@ struct EventTag {
   std::uint64_t b = 0;
 };
 
+class EventOwner;
+
 class EventQueue {
  public:
   using Callback = std::function<void()>;
   using EventId = std::uint64_t;
-  // Rebuilds the closure of a restored event from its tag.
-  using Rebinder = std::function<Callback(const EventTag&)>;
+  // Builds the closure of a tagged event from its tag, both when the
+  // event is scheduled and when LoadState restores it. A null result
+  // rejects the tag (a forged one on load).
+  using Factory = std::function<Callback(const EventTag&)>;
 
   // Stable 64-bit token for a component name (FNV-1a; never returns 0).
   static constexpr std::uint64_t OwnerToken(std::string_view name) {
@@ -60,27 +69,35 @@ class EventQueue {
   }
 
   // Schedule `cb` to fire at absolute time `when`. Times in the past fire
-  // on the next Advance(). Returns an id usable with Cancel().
+  // on the next Advance(). Returns an id usable with Cancel(). Untagged:
+  // a snapshot taken while it is pending fails.
   EventId ScheduleAt(PicoSeconds when, Callback cb) {
-    return ScheduleAtTagged(when, EventTag{}, std::move(cb));
+    return Push(when, EventTag{}, std::move(cb));
   }
   EventId ScheduleAfter(PicoSeconds delay, Callback cb) {
     return ScheduleAt(now_ + delay, std::move(cb));
   }
 
-  // Tagged variants: identical scheduling semantics, but the event can be
-  // serialized and re-bound across a snapshot/restore cycle.
-  EventId ScheduleAtTagged(PicoSeconds when, EventTag tag, Callback cb);
-  EventId ScheduleAfterTagged(PicoSeconds delay, EventTag tag, Callback cb) {
-    return ScheduleAtTagged(now_ + delay, std::move(tag), std::move(cb));
+  // Tagged variants: identical scheduling semantics, but the closure is
+  // `owner`'s factory applied to (op, a, b), so the event can be
+  // serialized and rebuilt across a snapshot/restore cycle. A factory
+  // that rejects (returns null for) a live tag aborts the process here.
+  EventId ScheduleAtTagged(PicoSeconds when, const EventOwner& owner,
+                           std::uint32_t op, std::uint64_t a = 0,
+                           std::uint64_t b = 0);
+  EventId ScheduleAfterTagged(PicoSeconds delay, const EventOwner& owner,
+                              std::uint32_t op, std::uint64_t a = 0,
+                              std::uint64_t b = 0) {
+    return ScheduleAtTagged(now_ + delay, owner, op, a, b);
   }
 
-  // Register the closure factory for an owner token. Called during
-  // construction by every component that schedules tagged events; a later
-  // registration for the same owner replaces the earlier one.
-  void RegisterRebinder(std::uint64_t owner, Rebinder fn) {
-    rebinders_[owner] = std::move(fn);
-  }
+  // Register the closure factory of the component `name`. Called during
+  // construction by every component that schedules tagged events. A later
+  // registration under the same name takes over restores; events already
+  // scheduled, and events scheduled through an earlier handle, keep the
+  // factory they were bound with.
+  [[nodiscard]] EventOwner RegisterOwner(std::string_view name,
+                                         Factory factory);
 
   // Cancel a pending event; returns false if it already fired or is unknown.
   bool Cancel(EventId id);
@@ -104,7 +121,8 @@ class EventQueue {
   // cannot be described cannot be restored.
   Status SaveState(SnapWriter& w) const;
   // Drop all pending events (including the twin's construction-time ones)
-  // and rebuild the saved set through the rebinder registry. Restores
+  // and rebuild the saved set through the owners' factories; an unknown
+  // owner or a rejected tag fails with kBadCapability. Restores
   // now_/next_seq_/next_id_ so post-restore scheduling is bit-identical.
   Status LoadState(SnapReader& r);
 
@@ -120,19 +138,32 @@ class EventQueue {
     }
   };
 
+  EventId Push(PicoSeconds when, const EventTag& tag, Callback cb);
   void PopCancelled() const;
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
 
   // snapshot-x-list(EventQueue): heap_, cancelled_, now_, next_seq_,
-  // next_id_, live_, rebinders_
+  // next_id_, live_, owners_
   mutable std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   mutable std::vector<EventId> cancelled_;
   PicoSeconds now_ = 0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
-  std::unordered_map<std::uint64_t, Rebinder> rebinders_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<const Factory>> owners_;
+};
+
+// A registered event owner. Only EventQueue::RegisterOwner makes one, so
+// every tagged event is scheduled through a factory that exists.
+class EventOwner {
+ private:
+  friend class EventQueue;
+  EventOwner(std::uint64_t token, std::shared_ptr<const EventQueue::Factory> f)
+      : token_(token), factory_(std::move(f)) {}
+
+  std::uint64_t token_;
+  std::shared_ptr<const EventQueue::Factory> factory_;
 };
 
 }  // namespace nova::sim

@@ -17,21 +17,21 @@ void FaultPlan::set_tracer(Tracer* t) {
 
 void FaultPlan::Arm(EventQueue* events) {
   armed_ = true;
-  events->RegisterRebinder(
-      EventQueue::OwnerToken("sim.faultplan"), [this](const EventTag& tag) {
-        const std::size_t i = static_cast<std::size_t>(tag.a);
-        return [this, i] { entries_[i].active = true; };
+  // The entry count is fixed by construction (the load checks it), so a
+  // tag indexing past it is forged.
+  const EventOwner owner = events->RegisterOwner(
+      "sim.faultplan", [this](const EventTag& tag) -> EventQueue::Callback {
+        if (tag.op != kOpActivate || tag.a >= entries_.size()) {
+          return nullptr;
+        }
+        return [this, i = tag.a] { entries_[i].active = true; };
       });
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& entry = entries_[i];
     if (entry.ev.at <= events->now()) {
       entry.active = true;
     } else {
-      events->ScheduleAtTagged(
-          entry.ev.at,
-          EventTag{EventQueue::OwnerToken("sim.faultplan"), kOpActivate,
-                   static_cast<std::uint64_t>(i), 0},
-          [this, i] { entries_[i].active = true; });
+      events->ScheduleAtTagged(entry.ev.at, owner, kOpActivate, i);
     }
   }
 }

@@ -12,7 +12,7 @@
 // never code. Restoring rebuilds the scenario by re-running the identical
 // construction path (same seeds, same creation order), then overlays every
 // piece of mutable state from the snapshot. Pending event-queue callbacks
-// are re-bound through the tag/rebinder registry in `EventQueue`.
+// are rebuilt from their tags by the owners' factories in `EventQueue`.
 //
 // Error handling: readers latch the first error (truncation, bad magic,
 // checksum mismatch, version skew, out-of-range value) and every

@@ -281,6 +281,7 @@ std::map<std::string, TraceReport::Entry> TraceReport::Rows(
     const Tracer& t) const {
   std::map<std::string, Entry> rows;
   for (const auto& [id, e] : entries_) {
+    if (id >= t.NameCount()) continue;
     Entry& row = rows[t.Name(id)];
     row.count += e.count;
     row.total_ps += e.total_ps;

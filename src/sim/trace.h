@@ -95,6 +95,7 @@ class Tracer {
   // a hot path — wire ids up once at construction time.
   std::uint16_t Intern(const std::string& name);
   const std::string& Name(std::uint16_t id) const { return names_[id]; }
+  std::size_t NameCount() const { return names_.size(); }
 
   // --- emission -------------------------------------------------------
   // All emitters are no-ops when disabled; the check is inlined so the
@@ -207,6 +208,7 @@ class TraceReport {
   std::uint64_t Count(std::uint16_t name) const;
   PicoSeconds TotalPs(std::uint16_t name) const;
   // Name-resolved view for printing; `t` supplies the id→string mapping.
+  // Ids `t` never interned (a loaded report may carry any) are skipped.
   std::map<std::string, Entry> Rows(const Tracer& t) const;
 
   void Reset();

@@ -73,9 +73,8 @@ Vmm::Vmm(hv::Hypervisor* hv, root::RootPartitionManager* root, VmmConfig config)
   }
 
   vpic_ = std::make_unique<VPic>([this] { KickVcpus(); });
-  vpit_ = std::make_unique<VPit>(
-      &hv_->machine().events(), vpic_.get(),
-      sim::EventQueue::OwnerToken("vmm." + config_.name + ".vpit"));
+  vpit_ = std::make_unique<VPit>(&hv_->machine().events(), vpic_.get(),
+                                 "vmm." + config_.name + ".vpit");
   vuart_ = std::make_unique<VUart>();
   vahci_ = std::make_unique<VAhci>(VAhci::Backend{
       .read_guest = [this](std::uint64_t gpa, void* out,
@@ -101,16 +100,13 @@ Vmm::~Vmm() {
   }
 }
 
-std::uint64_t Vmm::HbOwner() const {
-  return sim::EventQueue::OwnerToken("vmm." + config_.name + ".hb");
-}
-
 void Vmm::StartHeartbeat(sim::PicoSeconds period_ps, hw::PhysAddr hb_addr) {
   hb_period_ps_ = period_ps;
   hb_addr_ = hb_addr;
   hb_running_ = true;
-  hv_->machine().events().RegisterRebinder(
-      HbOwner(), [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
+  hb_owner_ = hv_->machine().events().RegisterOwner(
+      "vmm." + config_.name + ".hb",
+      [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         if (tag.op != 1) {
           return nullptr;
         }
@@ -127,8 +123,7 @@ void Vmm::HeartbeatTick() {
   ++hb_count_;
   (void)hv_->machine().mem().Write(hb_addr_, &hb_count_, sizeof(hb_count_));
   hb_event_ = hv_->machine().events().ScheduleAfterTagged(
-      hb_period_ps_, sim::EventTag{HbOwner(), /*op=*/1},
-      [this] { HeartbeatTick(); });
+      hb_period_ps_, *hb_owner_, /*op=*/1);
 }
 
 std::uint64_t Vmm::GpaToHpa(std::uint64_t gpa) const {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -180,8 +181,6 @@ class Vmm {
   void TryDeliver(hv::ArchState& arch);
   void KickVcpus();
 
-  // Heartbeat event machinery (tagged "vmm.<name>.hb" for snapshots).
-  std::uint64_t HbOwner() const;
   void HeartbeatTick();
 
   // Disk backend.
@@ -202,7 +201,8 @@ class Vmm {
   //   disk_shared_page_, disk_channel_id_, disk_ring_tail_,
   //   delegated_buffer_pages_, comp_ec_, irq_ecs_storage_, cur_vcpu_,
   //   boot_disk_, exits_handled_, injected_, create_status_, fault_plan_,
-  //   crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, hb_event_
+  //   crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, hb_owner_,
+  //   hb_event_
   hv::Hypervisor* hv_;
   root::RootPartitionManager* root_;
   VmmConfig config_;
@@ -250,6 +250,8 @@ class Vmm {
   bool hb_running_ = false;
   sim::PicoSeconds hb_period_ps_ = 0;
   hw::PhysAddr hb_addr_ = 0;
+  // "vmm.<name>.hb" op 1: the next beat. Registered by StartHeartbeat.
+  std::optional<sim::EventOwner> hb_owner_;
   sim::EventQueue::EventId hb_event_ = 0;  // Cancelled on destruction.
 };
 

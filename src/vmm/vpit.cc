@@ -2,21 +2,21 @@
 
 namespace nova::vmm {
 
-VPit::VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner)
-    : DeviceModel("vpit"), events_(events), vpic_(vpic), owner_(owner) {
-  events_->RegisterRebinder(
-      owner_, [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
-        if (tag.op != 1) {
-          return nullptr;
-        }
-        const std::uint64_t gen = tag.a;
-        return [this, gen] {
-          if (gen == generation_) {
-            Tick();
-          }
-        };
-      });
-}
+VPit::VPit(sim::EventQueue* events, VPic* vpic, std::string_view owner)
+    : DeviceModel("vpit"),
+      events_(events),
+      vpic_(vpic),
+      owner_(events->RegisterOwner(
+          owner, [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
+            if (tag.op != 1) {
+              return nullptr;
+            }
+            return [this, gen = tag.a] {
+              if (gen == generation_) {
+                Tick();
+              }
+            };
+          })) {}
 
 std::uint32_t VPit::PioRead(std::uint16_t port) {
   switch (port) {
@@ -57,13 +57,7 @@ void VPit::PioWrite(std::uint16_t port, std::uint32_t value) {
 }
 
 void VPit::Arm() {
-  const std::uint64_t gen = generation_;
-  events_->ScheduleAfterTagged(period_, sim::EventTag{owner_, /*op=*/1, gen},
-                               [this, gen] {
-                                 if (gen == generation_) {
-                                   Tick();
-                                 }
-                               });
+  events_->ScheduleAfterTagged(period_, owner_, /*op=*/1, generation_);
 }
 
 void VPit::Tick() {

@@ -8,6 +8,7 @@
 #define SRC_VMM_VPIT_H_
 
 #include <cstdint>
+#include <string_view>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/snapshot.h"
@@ -25,11 +26,10 @@ constexpr std::uint8_t kVector = 32;           // Timer interrupt vector.
 
 class VPit : public DeviceModel {
  public:
-  // `owner` is the event-queue owner token ("vmm.<name>.vpit") under which
-  // tick events are tagged; the rebinder registered here restores pending
-  // ticks across a snapshot (stale generations are dropped on fire, exactly
-  // like the live path).
-  VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner);
+  // `owner` is the event owner ("vmm.<name>.vpit") of the tick events;
+  // its factory builds them when armed and again when a snapshot restores
+  // them (stale generations are dropped on fire).
+  VPit(sim::EventQueue* events, VPic* vpic, std::string_view owner);
   ~VPit() override { ++generation_; }
 
   bool OwnsPort(std::uint16_t port) const override {
@@ -54,7 +54,7 @@ class VPit : public DeviceModel {
   //   generation_, ticks_
   sim::EventQueue* events_;
   VPic* vpic_;
-  std::uint64_t owner_;
+  sim::EventOwner owner_;  // Op 1: tick of generation a.
   sim::PicoSeconds period_ = 0;
   std::uint16_t period_lo_ = 0;
   std::uint64_t generation_ = 0;

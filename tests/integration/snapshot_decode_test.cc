@@ -186,6 +186,54 @@ TEST(RangeChecks, TracerWellFormedStreamLoads) {
   EXPECT_EQ(TimedLoad(tracer, TracerStream(6, 2, 4)), Status::kSuccess);
 }
 
+// --- Range checks: indices a loaded stream carries ----------------------
+
+// A report's entry ids index the tracer's name table only when printed, so
+// the load accepts any id and Rows skips the ones the tracer never made.
+TEST(RangeChecks, TraceReportRowsSkipUnknownIds) {
+  sim::Tracer tracer;
+  const std::uint16_t known = tracer.Intern("known");
+  SnapWriter w;
+  w.U32(2);  // Two entries: a known id and one past the name table.
+  w.U16(known);
+  w.U64(3);
+  w.U64(30);
+  w.U16(999);
+  w.U64(1);
+  w.U64(10);
+  w.U32(0);  // No open spans.
+  sim::TraceReport report;
+  ASSERT_EQ(TimedLoad(report, w), Status::kSuccess);
+  const auto rows = report.Rows(tracer);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows.at("known"), (sim::TraceReport::Entry{3, 30}));
+}
+
+// An armed plan's activation events index its entries; a forged index
+// must fail the event queue's load instead of arming a write past them.
+TEST(RangeChecks, FaultPlanActivationIndexBeyondEntries) {
+  SnapWriter w;
+  w.U64(0);  // now, next seq, next id.
+  w.U64(1);
+  w.U64(2);
+  w.U64(1);  // One pending event: when, seq, id, then its tag.
+  w.U64(5);
+  w.U64(0);
+  w.U64(1);
+  w.U64(sim::EventQueue::OwnerToken("sim.faultplan"));
+  w.U32(1);
+  w.U64(1);  // Entry 1 of a one-entry plan.
+  w.U64(0);
+  sim::FaultEvent ev;
+  ev.at = 5;
+  sim::FaultPlan plan(1);
+  plan.Schedule(ev);
+  sim::EventQueue events;
+  plan.Arm(&events);
+  EXPECT_EQ(TimedLoad(events, w), Status::kBadCapability);
+  events.AdvanceTo(10);
+}
+
 // --- Range checks: enum bytes of component sections ---------------------
 
 TEST(RangeChecks, FaultKindByte) {

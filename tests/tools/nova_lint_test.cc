@@ -646,78 +646,6 @@ void Hv::Unlocked() {
   EXPECT_EQ(r.suppressed, 1);
 }
 
-// --- event-rebind --------------------------------------------------------
-
-TEST(EventRebindRule, FlagsEnqueueWithoutRebinder) {
-  const auto r = RunOn({{"src/hw/t.cc", R"cc(
-void Arm(sim::EventQueue& q) {
-  q.ScheduleAtTagged(5, sim::EventTag{"hw.timer", 0}, Fire);
-}
-)cc"}});
-  ASSERT_EQ(CountRule(r, "event-rebind"), 1);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "event-rebind") {
-      EXPECT_NE(f.message.find("hw.timer"), std::string::npos);
-    }
-  }
-}
-
-TEST(EventRebindRule, PairsEnqueueWithRebinderAcrossTus) {
-  const auto r = RunOn({
-      {"src/hw/t.cc", R"cc(
-void Arm(sim::EventQueue& q) {
-  q.ScheduleAtTagged(5, sim::EventTag{"hw.timer", 0}, Fire);
-}
-)cc"},
-      {"src/hw/t_restore.cc", R"cc(
-void Attach(sim::EventQueue& q) {
-  q.RegisterRebinder("hw.timer", Rebind);
-}
-)cc"},
-  });
-  EXPECT_EQ(CountRule(r, "event-rebind"), 0);
-}
-
-TEST(EventRebindRule, TracesLocalTagVariables) {
-  const auto r = RunOn({{"src/hw/n.cc", R"cc(
-void Arm(sim::EventQueue& q) {
-  const sim::EventTag tag{"hw.nic", 1};
-  q.ScheduleAfterTagged(5, tag, Fire);
-}
-)cc"}});
-  ASSERT_EQ(CountRule(r, "event-rebind"), 1);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "event-rebind") {
-      EXPECT_NE(f.message.find("hw.nic"), std::string::npos);
-    }
-  }
-}
-
-TEST(EventRebindRule, MatchesSymbolicOwnerKeys) {
-  const auto r = RunOn({
-      {"src/services/d.cc", R"cc(
-void Arm(sim::EventQueue& q) {
-  q.ScheduleAfterTagged(5, sim::EventTag{kDiskOwner, 1}, Fire);
-}
-)cc"},
-      {"src/services/d_restore.cc", R"cc(
-void Attach(sim::EventQueue& q) {
-  q.RegisterRebinder(kDiskOwner, Rebind);
-}
-)cc"},
-  });
-  EXPECT_EQ(CountRule(r, "event-rebind"), 0);
-}
-
-TEST(EventRebindRule, IgnoresUntaggedScheduling) {
-  const auto r = RunOn({{"src/hw/t.cc", R"cc(
-void Arm(sim::EventQueue& q) {
-  q.ScheduleAt(5, Fire);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "event-rebind"), 0);
-}
-
 // --- driver: parallelism, roots, baseline --------------------------------
 
 // The driver and report tests need any one-line finding: a counter bump

@@ -9,7 +9,7 @@ class VPitTest : public ::testing::Test {
  protected:
   VPitTest()
       : pic_([] {}),
-        pit_(&events_, &pic_, sim::EventQueue::OwnerToken("test.vpit")) {}
+        pit_(&events_, &pic_, "test.vpit") {}
 
   void Program(std::uint32_t micros) {
     (void)pit_.PioWrite(vpit::kPortPeriodLo, micros & 0xffff);

@@ -27,106 +27,6 @@ bool IsCallKeyword(const std::string& s) {
          s == "noexcept" || s == "new" || s == "delete";
 }
 
-// Joins the token texts of [first, last) with no separators, dropping
-// namespace qualifiers that differ across call sites of the same owner
-// (`sim::`, `nova::`, `EventQueue::`, `std::`). The result is the
-// normalized owner key used to pair enqueues with rebinders by name.
-std::string JoinNormalized(const Tokens& toks, int first, int last) {
-  std::string out;
-  for (int i = first; i < last; ++i) {
-    const Token& t = toks[static_cast<std::size_t>(i)];
-    if (t.kind == TokKind::kPunct && t.text == "::") continue;
-    if (t.kind == TokKind::kIdent && IsPunct(toks, i + 1, "::") &&
-        (t.text == "sim" || t.text == "nova" || t.text == "EventQueue" ||
-         t.text == "std")) {
-      continue;
-    }
-    out += t.text;
-  }
-  return out;
-}
-
-// Recovers the string literal of an `OwnerToken("…")` call from the raw
-// line (literals are blanked in the code view). Returns "" when no
-// quoted literal is on the call's line or the one after it (wrapped).
-std::string RecoverStringLiteral(const SourceFile& f, int line) {
-  for (int l = line; l <= line + 1; ++l) {
-    const std::string& raw = f.RawLine(l);
-    const std::size_t a = raw.find('"');
-    if (a == std::string::npos) continue;
-    const std::size_t b = raw.find('"', a + 1);
-    if (b == std::string::npos) continue;
-    return raw.substr(a, b - a + 1);  // includes both quotes
-  }
-  return "";
-}
-
-// Normalized key of an owner expression spanning tokens [first, last).
-// `line_hint` is the raw line of the surrounding construct: a bare
-// string-literal owner leaves no tokens at all (the code view blanks
-// literals), so an empty range falls back to recovering the literal
-// from that line.
-std::string OwnerKeyFromRange(const SourceFile& f, const Tokens& toks,
-                              int first, int last, int line_hint) {
-  if (first >= last) {
-    const std::string lit = RecoverStringLiteral(f, line_hint);
-    return lit.empty() ? "OwnerToken(?)" : lit;
-  }
-  for (int i = first; i < last; ++i) {
-    if (!IsIdent(toks, i, "OwnerToken") || !IsPunct(toks, i + 1, "(")) {
-      continue;
-    }
-    const int close = MatchForward(toks, i + 1);
-    if (close < 0 || close > last) break;
-    if (close == i + 2) {
-      // Empty token range: the argument was a (blanked) string literal.
-      const std::string lit = RecoverStringLiteral(f, At(toks, i).line);
-      if (!lit.empty()) return lit;
-      return "OwnerToken(?)";
-    }
-    return "OwnerToken(" + JoinNormalized(toks, i + 2, close) + ")";
-  }
-  return JoinNormalized(toks, first, last);
-}
-
-// Extracts the owner key of the tag argument [first, last) of a
-// Schedule{At,After}Tagged call at token `call_idx`. Handles inline
-// `EventTag{owner, …}` construction, a single identifier naming a local
-// `EventTag var{owner, …}` defined earlier in the same function body
-// (traced backward), and bare expressions. Returns "" for untagged
-// `EventTag{}` (owner 0 is the event queue's own runtime concern).
-std::string TagOwnerKey(const SourceFile& f, const Tokens& toks,
-                        const FileScopes& scopes, int call_idx, int first,
-                        int last) {
-  // Inline construction: EventTag { owner, ... }.
-  for (int i = first; i < last; ++i) {
-    if (!IsIdent(toks, i, "EventTag") || !IsPunct(toks, i + 1, "{")) continue;
-    const auto args = SplitTopLevelArgs(toks, i + 1);
-    if (args.empty()) return "";  // EventTag{}: untagged by design
-    return OwnerKeyFromRange(f, toks, args[0].first, args[0].second,
-                             At(toks, i).line);
-  }
-  // Single identifier: trace a local `EventTag var{...}` backward.
-  if (last == first + 1 && TokIsIdent(toks, first)) {
-    const std::string& var = At(toks, first).text;
-    const int fn = InnermostFunction(scopes, call_idx);
-    const int lo = fn >= 0
-                       ? scopes.functions[static_cast<std::size_t>(fn)].body_open
-                       : 0;
-    for (int k = first - 1; k > lo; --k) {
-      if (IsIdent(toks, k, "EventTag") && IsIdent(toks, k + 1, var.c_str()) &&
-          IsPunct(toks, k + 2, "{")) {
-        const auto args = SplitTopLevelArgs(toks, k + 2);
-        if (args.empty()) return "";
-        return OwnerKeyFromRange(f, toks, args[0].first, args[0].second,
-                                 At(toks, k).line);
-      }
-    }
-    return var;  // member or parameter: pair by name (owner_, ...)
-  }
-  return OwnerKeyFromRange(f, toks, first, last, At(toks, call_idx).line);
-}
-
 // Parses `// guarded-by(<lock>)` from the raw declaration line, or from
 // a comment-only line directly above it.
 std::string GuardedByOf(const SourceFile& f, int line) {
@@ -290,35 +190,6 @@ void IndexFunctions(const SourceFile& f, const Tokens& toks,
   }
 }
 
-// Records tagged enqueues and rebinder registrations. Only genuine call
-// sites count: both are always invoked through `.` or `->` on an event
-// queue, which cleanly excludes the declarations and the definitions in
-// src/sim/event_queue.* (the mechanism itself).
-void IndexOwnerSites(const SourceFile& f, const Tokens& toks,
-                     const FileScopes& scopes, ProjectModel* model) {
-  for (int i = 0; i < static_cast<int>(toks.size()); ++i) {
-    if (!TokIsIdent(toks, i) || !IsPunct(toks, i + 1, "(")) continue;
-    if (!IsPunct(toks, i - 1, ".") && !IsPunct(toks, i - 1, "->")) continue;
-    const std::string& name = At(toks, i).text;
-    if (name == "RegisterRebinder") {
-      const auto args = SplitTopLevelArgs(toks, i + 1);
-      if (args.empty()) continue;
-      model->rebinders.push_back(
-          OwnerSite{OwnerKeyFromRange(f, toks, args[0].first, args[0].second,
-                                      At(toks, i).line),
-                    f.path(), At(toks, i).line});
-      continue;
-    }
-    if (name != "ScheduleAtTagged" && name != "ScheduleAfterTagged") continue;
-    const auto args = SplitTopLevelArgs(toks, i + 1);
-    if (args.size() < 2) continue;
-    const std::string key =
-        TagOwnerKey(f, toks, scopes, i, args[1].first, args[1].second);
-    if (key.empty()) continue;  // untagged EventTag{}
-    model->enqueues.push_back(OwnerSite{key, f.path(), At(toks, i).line});
-  }
-}
-
 }  // namespace
 
 int ProjectModel::LayerRank(const std::string& layer) {
@@ -379,7 +250,6 @@ ProjectModel BuildModel(const std::vector<SourceFile>& files,
       IndexClassMembers(f, t, cls, &model);
     }
     IndexFunctions(f, t, scopes[fi], &model);
-    IndexOwnerSites(f, t, scopes[fi], &model);
   }
   return model;
 }

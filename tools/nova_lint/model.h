@@ -1,9 +1,8 @@
 // ProjectModel: facts nova-lint mines from the source tree before any
 // rule runs. Besides the layer ranks, it carries a whole-project symbol
 // index built by the scope walker: function/method definitions with
-// their call and lock-charge sites, class members with declaration types
-// and `// guarded-by(<lock>)` annotations, and the cross-TU pairing
-// tables for tagged event enqueues vs. rebinder registrations.
+// their call and lock-charge sites, and class members with declaration
+// types and `// guarded-by(<lock>)` annotations.
 #ifndef TOOLS_NOVA_LINT_MODEL_H_
 #define TOOLS_NOVA_LINT_MODEL_H_
 
@@ -45,25 +44,11 @@ struct LockSite {
   int line = 0;
 };
 
-// One side of the event-rebind pairing: a tagged enqueue
-// (Schedule{At,After}Tagged) or a RegisterRebinder registration. `key`
-// is the normalized owner expression — a recovered string literal like
-// `"hw.timer"`, or the expression text (`kDiskServerOwner`, `owner_`,
-// `HbOwner()`, `OwnerToken(name_)`) with sim::/EventQueue:: qualifiers
-// stripped — so the two sides compare by name across translation units.
-struct OwnerSite {
-  std::string key;
-  std::string file;
-  int line = 0;
-};
-
 struct ProjectModel {
   // --- Whole-project symbol index (scope-walker derived) ---
   std::vector<MemberDecl> members;
   std::vector<FuncDef> functions;
   std::vector<LockSite> lock_sites;
-  std::vector<OwnerSite> enqueues;   // tagged enqueue sites
-  std::vector<OwnerSite> rebinders;  // RegisterRebinder sites
 
   // The definition recorded at (file, line of the function name), or
   // nullptr. Lines come from the same scope walk rules see via FileCtx,

@@ -47,7 +47,6 @@ std::unique_ptr<Rule> MakePerCpuStateRule();
 std::unique_ptr<Rule> MakeSnapshotFieldsRule();
 std::unique_ptr<Rule> MakeDeterminismRule();
 std::unique_ptr<Rule> MakeLockDisciplineRule();
-std::unique_ptr<Rule> MakeEventRebindRule();
 
 // All rules, in diagnostic order.
 std::vector<std::unique_ptr<Rule>> AllRules();

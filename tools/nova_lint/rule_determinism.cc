@@ -1,4 +1,4 @@
-// Rule 10 `determinism`: flags nondeterminism sources that would
+// determinism: flags nondeterminism sources that would
 // silently break the repo's digest-exactness guarantees (golden traces,
 // snapshot/restore twins, bit-identical SMP reruns). Inside the
 // simulated-machine layers (src/sim, src/hw, src/hv, src/vmm, src/guest,

@@ -1,4 +1,4 @@
-// Rule 11 `lock-discipline`: a static race detector for the SMP model.
+// lock-discipline: a static race detector for the SMP model.
 //
 // Members annotated `// guarded-by(<lock>)` on their declaration are
 // shared mutable kernel state reachable from any CPU. Every use of such
@@ -6,10 +6,10 @@
 // via Hypervisor::ChargeLock (the repo's contention-charge model — a
 // charge anywhere in the body covers the body, there is no RAII scope),
 // or belong to per-CPU code (hv::CpuState / RunQueue methods), which
-// rule 8 already confines to the owning core. The annotations live in
-// headers and the uses in .cc files, so the check leans on the
-// whole-project member index; lock charges are read off the per-file
-// scope walk. Single-threaded phases (Boot, teardown, quiesced
+// the per-cpu-state rule already confines to the owning core. The
+// annotations live in headers and the uses in .cc files, so the check
+// leans on the whole-project member index; lock charges are read off the
+// per-file scope walk. Single-threaded phases (Boot, teardown, quiesced
 // snapshots) are vetted with justified allow() comments.
 #include <map>
 #include <string>
@@ -21,7 +21,7 @@ namespace nova::lint {
 namespace {
 
 // Per-CPU owner types: code inside these classes runs confined to one
-// core by construction (rule 8), so no cross-core lock is needed.
+// core by construction (per-cpu-state rule), so no cross-core lock is needed.
 bool IsPerCpuOwner(const std::string& qualifier) {
   return qualifier == "CpuState" || qualifier == "RunQueue";
 }
