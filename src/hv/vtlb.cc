@@ -33,8 +33,9 @@ void FreeShadowLevel(hw::PhysMem& mem, hw::PagingMode mode, hw::PhysAddr table,
   const int entries = mode == hw::PagingMode::kTwoLevel ? 1024 : 512;
   const int esize = mode == hw::PagingMode::kTwoLevel ? 4 : 8;
   for (int i = 0; i < entries; ++i) {
-    std::uint64_t entry = 0;
-    (void)mem.Read(table + static_cast<std::uint64_t>(i) * esize, &entry, esize);
+    const hw::PhysAddr at = table + static_cast<std::uint64_t>(i) * esize;
+    // Constant lengths keep PhysMem::Read on its inlined fixed-size copy.
+    const std::uint64_t entry = esize == 4 ? mem.Read32(at) : mem.Read64(at);
     if (!(entry & hw::pte::kPresent) || (entry & hw::pte::kLarge)) {
       continue;
     }

@@ -33,8 +33,7 @@ constexpr std::uint64_t FrameOf(PhysAddr a) { return a >> kPageShift; }
 class PhysMem {
  public:
   // `size` is the amount of installed RAM; accesses beyond it fault.
-  explicit PhysMem(std::uint64_t size)
-      : size_(size), frames_((size + kPageMask) >> kPageShift) {}
+  explicit PhysMem(std::uint64_t size);
 
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
@@ -44,11 +43,40 @@ class PhysMem {
     return addr < size_ && len <= size_ - addr;
   }
 
-  // Typed accessors. Unaligned access within a page is allowed; access
-  // crossing the end of installed RAM returns kMemoryFault. Frames are
-  // allocated zero-filled on first touch.
-  Status Read(PhysAddr addr, void* out, std::uint64_t len) const;
-  Status Write(PhysAddr addr, const void* data, std::uint64_t len);
+  // Byte accessors. Unaligned and page-crossing accesses are allowed; an
+  // access crossing the end of installed RAM returns kMemoryFault and
+  // leaves `out` (or memory) untouched. Frames are allocated zero-filled
+  // on first touch.
+  //
+  // Host hot path: an access inside one page of RAM is handled here, with
+  // one directory index and one memcpy whose length is a compile-time
+  // constant at call sites that pass one (PTE reads, instruction fetch).
+  // Everything else takes the per-page loop in ReadSlow/WriteSlow.
+  Status Read(PhysAddr addr, void* out, std::uint64_t len) const {
+    if (!InOnePage(addr, len)) {
+      return ReadSlow(addr, out, len);
+    }
+    if (const Frame* f = frames_[FrameOf(addr)].get()) {
+      std::memcpy(out, f->data() + (addr & kPageMask), len);
+    } else {
+      std::memset(out, 0, len);  // Untouched RAM reads as zero.
+    }
+    return Status::kSuccess;
+  }
+  Status Write(PhysAddr addr, const void* data, std::uint64_t len) {
+    if (!InOnePage(addr, len)) {
+      return WriteSlow(addr, data, len);
+    }
+    if (observer_) {
+      observer_(addr, len);
+    }
+    Frame* f = frames_[FrameOf(addr)].get();
+    if (f == nullptr) {
+      f = &FrameForAlloc(FrameOf(addr));
+    }
+    std::memcpy(f->data() + (addr & kPageMask), data, len);
+    return Status::kSuccess;
+  }
 
   template <typename T>
   T ReadAs(PhysAddr addr) const {
@@ -95,6 +123,14 @@ class PhysMem {
     return frames_[frame_no].get();
   }
   Frame& FrameForAlloc(std::uint64_t frame_no);  // Allocates.
+
+  // The fast-path test: [addr, addr + len) lies inside RAM and inside one
+  // page. Written so that no sum can wrap.
+  bool InOnePage(PhysAddr addr, std::uint64_t len) const {
+    return Contains(addr, len) && len <= kPageSize - (addr & kPageMask);
+  }
+  Status ReadSlow(PhysAddr addr, void* out, std::uint64_t len) const;
+  Status WriteSlow(PhysAddr addr, const void* data, std::uint64_t len);
 
   // snapshot-x-list(PhysMem): size_, frames_, resident_, observer_
   std::uint64_t size_;

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/paging.h"
@@ -78,7 +77,7 @@ struct TlbEntry {
 class Tlb {
  public:
   Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
-      : capacity_4k_(capacity_4k), capacity_large_(capacity_large) {}
+      : small_(capacity_4k), large_(capacity_large) {}
 
   // Look up `va` under `tag`. Returns the translated physical address on a
   // usable hit. Misses (including permission-insufficient and clean-entry
@@ -97,54 +96,90 @@ class Tlb {
   void FlushVa(TlbTag tag, VirtAddr va);  // INVLPG.
 
   std::size_t EntryCount(TlbTag tag) const;
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return small_.count + large_.count; }
 
   const sim::Counter& hits() const { return hits_; }
   const sim::Counter& misses() const { return misses_; }
   const sim::Counter& flushes() const { return flushes_; }
 
   // Serialize entries sorted by (tag, vpage, large) plus the LRU clock, so
-  // post-restore replacement decisions are bit-identical.
+  // post-restore replacement decisions are bit-identical. Load fails with
+  // kBadParameter on a class over capacity, a duplicated key, a page size
+  // that is not 4 KiB/2 MiB/4 MiB or disagrees with `large`, a stored
+  // count that differs from the entries, or LRU stamps that repeat or run
+  // ahead of the clock.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
 
  private:
-  struct Key {
-    TlbTag tag;
-    std::uint64_t vpage;  // va >> 12; superpages insert their base page.
-    bool large;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.vpage * 0x9e3779b97f4a7c15ull;
-      h ^= (static_cast<std::uint64_t>(k.tag) << 1) ^ (k.large ? 0x5851ull : 0);
-      return static_cast<std::size_t>(h ^ (h >> 29));
-    }
-  };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  // One translation. Live slots sit on their class's LRU list, oldest
+  // first; free slots chain through `newer`.
   struct Slot {
+    TlbTag tag = 0;
+    std::uint64_t vpage = 0;  // va >> 12; superpages insert their base page.
     TlbEntry entry;
-    std::uint64_t lru;
+    std::uint64_t lru = 0;    // ++clock_ at insert and at every hit.
+    std::uint32_t older = kNil;
+    std::uint32_t newer = kNil;
   };
 
-  Key MakeKey(TlbTag tag, VirtAddr va, std::uint64_t page_size) const {
-    const bool large = page_size > kPageSize;
-    const std::uint64_t base = va & ~(page_size - 1);
-    return Key{tag, base >> kPageShift, large};
-  }
+  // One capacity class (4 KiB or superpage): a fixed slot array, an
+  // open-addressed (linear probing, load <= 1/2) index from (tag, vpage)
+  // to slot, and an intrusive LRU list. Stamps only grow and every stamp
+  // moves its slot to the newest end, so the list is in stamp order and
+  // its oldest slot is the strict-min-LRU victim.
+  struct SizeClass {
+    explicit SizeClass(std::uint32_t capacity);
 
-  void EvictIfNeeded(bool large);
+    std::uint32_t Find(TlbTag tag, std::uint64_t vpage) const;  // Or kNil.
+    std::uint32_t Add(TlbTag tag, std::uint64_t vpage);  // count < capacity.
+    void Remove(std::uint32_t id);
+    void Touch(std::uint32_t id, std::uint64_t stamp);  // Becomes newest.
+    void Clear();
+    template <class Pred>
+    void RemoveIf(Pred pred);
+
+    std::uint32_t Home(TlbTag tag, std::uint64_t vpage) const;
+    void Link(std::uint32_t id);    // At the newest end.
+    void Unlink(std::uint32_t id);
+
+    // A zero-capacity class still holds the entry being installed.
+    std::uint32_t capacity;
+    std::uint32_t count = 0;
+    std::vector<Slot> slots;            // max(capacity, 1) of them.
+    std::vector<std::uint32_t> index;   // Slot ids; kNil marks empty.
+    std::uint32_t mask = 0;             // index.size() - 1.
+    int shift = 0;                      // 64 - log2(index.size()).
+    std::uint32_t oldest = kNil;
+    std::uint32_t newest = kNil;
+    std::uint32_t free = 0;             // Head of the free chain.
+  };
+
+  // A usable hit of `va` in the `page_size` mapping of `c`: stamps the
+  // entry and returns the translation, else nullopt.
+  std::optional<PhysAddr> Probe(SizeClass& c, TlbTag tag, VirtAddr va,
+                                std::uint64_t page_size, Access access);
+
+  // One entry as the snapshot encodes it.
+  struct Record {
+    TlbTag tag = 0;
+    std::uint64_t vpage = 0;
+    bool large = false;
+    TlbEntry entry;
+    std::uint64_t lru = 0;
+  };
+  std::vector<Record> Records() const;  // Sorted by (tag, vpage, large).
+  bool Rebuild(std::vector<Record> records, std::uint32_t count_4k,
+               std::uint32_t count_large);
   template <class Self, class Io>
   static Status Fields(Self& s, Io& io);
 
-  // snapshot-x-list(Tlb): capacity_4k_, capacity_large_, count_4k_,
-  // count_large_, clock_, map_, hits_, misses_, flushes_
-  std::uint32_t capacity_4k_;
-  std::uint32_t capacity_large_;
-  std::uint32_t count_4k_ = 0;
-  std::uint32_t count_large_ = 0;
+  // snapshot-x-list(Tlb): small_, large_, clock_, hits_, misses_, flushes_
+  SizeClass small_;
+  SizeClass large_;
   std::uint64_t clock_ = 0;
-  std::unordered_map<Key, Slot, KeyHash> map_;
   sim::Counter hits_;
   sim::Counter misses_;
   sim::Counter flushes_;

@@ -35,6 +35,9 @@ std::uint64_t VmEngine::PhysRead(PhysAddr pa, unsigned size) {
     return out;
   }
   cpu_->Charge(cpu_->model().mem_access);
+  if (size == 8) {
+    return mem_->Read64(pa);  // The common width, as a fixed-size copy.
+  }
   (void)mem_->Read(pa, &out, size);
   return out;
 }

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <initializer_list>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 namespace nova::hw {
@@ -29,6 +32,7 @@ TEST(PhysMem, CrossPageAccess) {
   std::uint8_t out[8] = {};
   EXPECT_EQ(mem.Read(kPageSize - 4, out, 8), Status::kSuccess);
   EXPECT_EQ(0, memcmp(data, out, 8));
+  EXPECT_EQ(mem.Read32(kPageSize - 2), 0x06050403u);  // Also crosses.
   EXPECT_EQ(mem.resident_frames(), 2u);
 }
 
@@ -39,6 +43,63 @@ TEST(PhysMem, OutOfBoundsFaults) {
   EXPECT_EQ(mem.Read((1 << 20) - 8, buf, 16), Status::kMemoryFault);
   EXPECT_EQ(mem.Write((1 << 20) - 1, buf, 2), Status::kMemoryFault);
   EXPECT_EQ(mem.Write((1 << 20) - 1, buf, 1), Status::kSuccess);
+}
+
+// --- The single-page fast path and its edges ---------------------------
+
+TEST(PhysMem, LastBytesOfRamAndPartialLastPage) {
+  PhysMem mem(3 * kPageSize + 0x800);  // The last frame is half RAM.
+  const PhysAddr end = mem.size();
+  EXPECT_EQ(mem.Write64(end - 8, 0x1122334455667788ull), Status::kSuccess);
+  EXPECT_EQ(mem.Read64(end - 8), 0x1122334455667788ull);
+  EXPECT_EQ(mem.Write32(end - 4, 0xaabbccddu), Status::kSuccess);
+  EXPECT_EQ(mem.Read32(end - 4), 0xaabbccddu);
+  std::uint64_t v = 0;
+  EXPECT_EQ(mem.Read(end - 4, &v, 8), Status::kMemoryFault);  // Inside the frame, past RAM.
+  EXPECT_EQ(mem.Write(end - 4, &v, 8), Status::kMemoryFault);
+  EXPECT_EQ(mem.Read(end, &v, 0), Status::kMemoryFault);
+}
+
+TEST(PhysMem, AccessPastRamFaultsAndLeavesOutputUntouched) {
+  PhysMem mem(1 << 20);
+  std::uint8_t buf[16];
+  std::fill(std::begin(buf), std::end(buf), 0xaa);
+  EXPECT_EQ(mem.Read(1 << 20, buf, 8), Status::kMemoryFault);
+  EXPECT_EQ(mem.Read((1 << 20) - 4, buf, 8), Status::kMemoryFault);
+  EXPECT_EQ(mem.Read(~0ull - 3, buf, 8), Status::kMemoryFault);  // Would wrap.
+  EXPECT_EQ(mem.Read(0, buf, ~0ull), Status::kMemoryFault);
+  for (const std::uint8_t b : buf) {
+    EXPECT_EQ(b, 0xaa);
+  }
+  EXPECT_EQ(mem.Write(1 << 20, buf, 8), Status::kMemoryFault);
+  EXPECT_EQ(mem.Write(~0ull - 3, buf, 8), Status::kMemoryFault);
+  EXPECT_EQ(mem.resident_frames(), 0u);
+}
+
+TEST(PhysMem, UntouchedFrameReadsZero) {
+  PhysMem mem(1 << 20);
+  ASSERT_EQ(mem.Write64(0x5000, ~0ull), Status::kSuccess);  // A neighbour.
+  std::uint8_t buf[16];
+  std::fill(std::begin(buf), std::end(buf), 0xaa);
+  EXPECT_EQ(mem.Read(0x6000 + 0x10, buf, sizeof(buf)), Status::kSuccess);
+  for (const std::uint8_t b : buf) {
+    EXPECT_EQ(b, 0);
+  }
+  EXPECT_EQ(mem.resident_frames(), 1u);
+}
+
+TEST(PhysMem, ObserverFiresOncePerWrite) {
+  PhysMem mem(1 << 20);
+  std::vector<std::pair<PhysAddr, std::uint64_t>> seen;
+  mem.set_write_observer([&seen](PhysAddr a, std::uint64_t len) { seen.emplace_back(a, len); });
+  const std::uint8_t data[24] = {};
+  ASSERT_EQ(mem.Write64(0x1008, 7), Status::kSuccess);             // One page.
+  ASSERT_EQ(mem.Write(kPageSize - 8, data, 24), Status::kSuccess);  // Crosses.
+  ASSERT_EQ(mem.Write(1 << 20, data, 8), Status::kMemoryFault);     // Not seen.
+  ASSERT_EQ(mem.Zero(0x3000, 2 * kPageSize), Status::kSuccess);
+  const std::vector<std::pair<PhysAddr, std::uint64_t>> want = {
+      {0x1008, 8}, {kPageSize - 8, 24}, {0x3000, 2 * kPageSize}};
+  EXPECT_EQ(seen, want);
 }
 
 TEST(PhysMem, ZeroClearsRange) {

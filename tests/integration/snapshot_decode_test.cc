@@ -8,8 +8,10 @@
 // the reader with kBadParameter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <vector>
 
 #include "src/hw/ahci.h"
 #include "src/hw/disk.h"
@@ -232,6 +234,111 @@ TEST(RangeChecks, FaultPlanActivationIndexBeyondEntries) {
   plan.Arm(&events);
   EXPECT_EQ(TimedLoad(events, w), Status::kBadCapability);
   events.AdvanceTo(10);
+}
+
+// --- Range checks: a TLB's entries against its capacity ----------------
+
+struct TlbRecord {
+  std::uint16_t tag;
+  std::uint64_t vpage;
+  bool large;
+  std::uint64_t page_size;
+  std::uint64_t lru;
+};
+
+// A Tlb stream with the given stored counts and entries; the LRU clock
+// is the largest stamp.
+SnapWriter TlbStream(std::uint32_t count_4k, std::uint32_t count_large,
+                     const std::vector<TlbRecord>& records) {
+  std::uint64_t clock = 0;
+  for (const TlbRecord& rec : records) clock = std::max(clock, rec.lru);
+  SnapWriter w;
+  w.U32(count_4k);
+  w.U32(count_large);
+  w.U64(clock);
+  for (int i = 0; i < 3; ++i) w.U64(0);  // Hits, misses, flushes.
+  w.U32(static_cast<std::uint32_t>(records.size()));
+  for (const TlbRecord& rec : records) {
+    w.U16(rec.tag);
+    w.U64(rec.vpage);
+    w.Bool(rec.large);
+    w.U64(0x1000);  // Physical page.
+    w.U64(rec.page_size);
+    for (int i = 0; i < 4; ++i) w.Bool(true);  // writable, user, dirty, global.
+    w.U64(rec.lru);
+  }
+  return w;
+}
+
+std::vector<TlbRecord> TlbPages(std::uint32_t n) {
+  std::vector<TlbRecord> out;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.push_back({1, i, false, hw::kPageSize, i + 1u});
+  }
+  return out;
+}
+
+// A rejected load leaves an empty TLB that still keeps its capacity.
+void ExpectTlbRejected(hw::Tlb& tlb, const SnapWriter& w) {
+  EXPECT_EQ(TimedLoad(tlb, w), Status::kBadParameter);
+  EXPECT_EQ(tlb.size(), 0u);
+  for (std::uint64_t p = 0; p < 64; ++p) {
+    tlb.Insert(2, p << hw::kPageShift, 0, hw::kPageSize, true, true, true);
+  }
+  EXPECT_EQ(tlb.EntryCount(2), 4u);
+}
+
+TEST(RangeChecks, TlbClassOverCapacity) {
+  hw::Tlb tlb(4, 2);
+  ExpectTlbRejected(tlb, TlbStream(5, 0, TlbPages(5)));
+  // Counts that claim an empty class over 600 real 4 KiB entries.
+  ExpectTlbRejected(tlb, TlbStream(0, 0, TlbPages(600)));
+}
+
+TEST(RangeChecks, TlbDuplicatedKey) {
+  hw::Tlb tlb(4, 2);
+  std::vector<TlbRecord> recs = TlbPages(2);
+  recs.push_back({1, 1, false, hw::kPageSize, 7});
+  ExpectTlbRejected(tlb, TlbStream(3, 0, recs));
+}
+
+TEST(RangeChecks, TlbPageSizeDisagreesWithClass) {
+  hw::Tlb tlb(4, 2);
+  ExpectTlbRejected(tlb, TlbStream(0, 1, {{1, 0, true, hw::kPageSize, 1}}));
+  ExpectTlbRejected(tlb, TlbStream(1, 0, {{1, 0, false, 2u << 20, 1}}));
+  ExpectTlbRejected(tlb, TlbStream(0, 1, {{1, 0, true, 1u << 30, 1}}));
+}
+
+TEST(RangeChecks, TlbStoredCountDiffersFromEntries) {
+  hw::Tlb tlb(4, 2);
+  ExpectTlbRejected(tlb, TlbStream(2, 0, TlbPages(1)));
+  ExpectTlbRejected(tlb, TlbStream(1, 1, TlbPages(2)));
+}
+
+TEST(RangeChecks, TlbRepeatedOrFutureLruStamp) {
+  hw::Tlb tlb(4, 2);
+  std::vector<TlbRecord> recs = TlbPages(2);
+  recs[1].lru = recs[0].lru;
+  ExpectTlbRejected(tlb, TlbStream(2, 0, recs));
+  SnapWriter w = TlbStream(1, 0, TlbPages(1));
+  std::vector<std::uint8_t> bytes = w.data();
+  bytes[8] = 0;  // Clock 0, behind the entry's stamp 1.
+  SnapWriter future;
+  future.Bytes(bytes.data(), bytes.size());
+  ExpectTlbRejected(tlb, future);
+}
+
+TEST(RangeChecks, TlbWellFormedStreamRoundTrips) {
+  hw::Tlb tlb(4, 2);
+  std::vector<TlbRecord> recs = TlbPages(3);
+  recs.push_back({1, 512, true, 2u << 20, 9});
+  recs.push_back({1, 1024, true, 4u << 20, 5});
+  const SnapWriter w = TlbStream(3, 2, recs);
+  ASSERT_EQ(TimedLoad(tlb, w), Status::kSuccess);
+  EXPECT_EQ(tlb.size(), 5u);
+  SnapWriter again;
+  ASSERT_EQ(tlb.SaveState(again), Status::kSuccess);
+  EXPECT_EQ(again.data(), w.data());
 }
 
 // --- Range checks: enum bytes of component sections ---------------------

@@ -128,9 +128,23 @@ TEST(SnapshotRoundTrip, FixedCheckpointEncodingIsPinned) {
   sim::Snapshot snap;
   ASSERT_EQ(scn.SaveState(snap), Status::kSuccess);
   const std::vector<std::uint8_t> bytes = snap.Encode();
-  EXPECT_EQ(bytes.size(), 1986627u);
-  EXPECT_EQ(sim::SnapFnv1a(bytes.data(), bytes.size()),
-            0x5f8936179b18c196ull);
+  // Every CPU adds its own section, so the pin depends on how many CPUs
+  // the machine has (NOVA_TEST_CPUS, DESIGN.md §12). A count without a
+  // pin fails: an unpinned run proves nothing about the encoding.
+  struct Pin {
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  Pin pin{};
+  switch (scn.system().machine.num_cpus()) {
+    case 1: pin = {1986627u, 0x5f8936179b18c196ull}; break;
+    case 4: pin = {1987089u, 0xa144cac30618541aull}; break;
+    default:
+      FAIL() << "no pinned encoding for a "
+             << scn.system().machine.num_cpus() << "-CPU machine";
+  }
+  EXPECT_EQ(bytes.size(), pin.size);
+  EXPECT_EQ(sim::SnapFnv1a(bytes.data(), bytes.size()), pin.digest);
 }
 
 TEST(SnapshotRoundTrip, StructurallyMismatchedTwinFailsLoudly) {
